@@ -14,7 +14,8 @@ pub mod serve {
     /// Counter: query lanes executed (one per served query, batch or
     /// single).
     pub const QUERIES: &str = "serve.queries";
-    /// Counter: 64-lane planes executed.
+    /// Counter: planes executed (64..512 lanes each; see
+    /// [`PLANE_WIDTH`]).
     pub const BATCHES: &str = "serve.batches";
     /// Counter: requests refused with an `overloaded` response by the
     /// admission controller.
@@ -30,12 +31,20 @@ pub mod serve {
     /// Value: width (in 64-lane words: 1/2/4/8) of each executed
     /// plane — the load-adaptive plane-width distribution.
     pub const PLANE_WIDTH: &str = "serve.plane_width";
-    /// Span: wall-clock time of one plane execution (classify + run +
-    /// respond).
+    /// Span: wall-clock time of one plane from cut to the last reply
+    /// sent (memo probe + classify + run + render + respond). Ends
+    /// where [`SERVICE_US`] ends, so their difference is queue wait.
     pub const EXEC: &str = "serve.exec";
+    /// Span: the adaptation step after a plane's replies have left
+    /// (`Pib::observe_batch`, plus publishing and journaling an
+    /// accepted climb). One per executed plane when adaptation is on.
+    pub const LEARN: &str = "serve.learn";
     /// Value: per-request service time in microseconds (enqueue →
-    /// response rendered).
+    /// every reply of its plane sent).
     pub const SERVICE_US: &str = "serve.service_us";
+    /// Counter: lanes answered from the per-shard answer memo without
+    /// occupying plane capacity.
+    pub const CACHE_HITS: &str = "serve.cache.hits";
     /// Counter: locally accepted strategy climbs this shard published
     /// to its peers via the strategy board.
     pub const SHARD_PUBLISHED: &str = "serve.shard.published";
@@ -101,6 +110,8 @@ pub mod store {
     pub const CHECKPOINTS: &str = "store.checkpoints";
     /// Counter: WAL records replayed during recovery at startup.
     pub const RECOVERY_REPLAYED: &str = "store.recovery.records_replayed";
+    /// Counter: 1 when recovery found and repaired a torn WAL tail.
+    pub const RECOVERY_TORN_TAIL: &str = "store.recovery.torn_tail";
     /// Counter: store I/O failures that flipped the server into
     /// degraded mode (updates shed, reads still served).
     pub const DEGRADED: &str = "store.degraded";
@@ -126,7 +137,9 @@ mod tests {
             super::serve::BATCH_FILL,
             super::serve::PLANE_WIDTH,
             super::serve::EXEC,
+            super::serve::LEARN,
             super::serve::SERVICE_US,
+            super::serve::CACHE_HITS,
             super::serve::SHARD_PUBLISHED,
             super::serve::SHARD_ADOPTIONS,
             super::serve::SHARD_STEER_FALLBACKS,
@@ -156,6 +169,7 @@ mod tests {
             super::store::WAL_COMMITS,
             super::store::CHECKPOINTS,
             super::store::RECOVERY_REPLAYED,
+            super::store::RECOVERY_TORN_TAIL,
             super::store::DEGRADED,
         ];
         for (i, a) in all.iter().enumerate() {

@@ -1,10 +1,11 @@
 //! Dynamic batcher + admission controller: a bounded FIFO of jobs that
-//! coalesces into 64..=512-lane planes, sized by queue depth.
+//! an executor shard drains in planes of up to [`MAX_LANES`] lanes.
 //!
 //! The batcher is a *synchronous state machine* — it never touches a
-//! clock or a thread by itself. Callers pass `Instant`s in, which keeps
-//! every transition deterministic and directly testable (the proptest
-//! in `tests/batcher_props.rs` drives it with synthetic clocks).
+//! clock or a thread by itself. Callers pass `Instant`s in (kept with
+//! each job so the server can report enqueue → reply service time),
+//! which keeps every transition deterministic and directly testable
+//! (the proptests in `tests/batcher_props.rs` drive it without sleeps).
 //!
 //! ## State machine
 //!
@@ -12,11 +13,10 @@
 //!          offer(job, now)                    cut_plane()
 //! client ──────────────────▶ [FIFO queue] ──────────────────▶ executor
 //!              │                  │
-//!              │ queue full       │ ready(now, max_wait) when
-//!              ▼                  │   · ≥ LANES lanes queued (a full
-//!          Err(job)               │     plane exists), or
-//!        ("overloaded")           │   · the oldest job has waited
-//!                                 ▼     ≥ max_wait (flush deadline)
+//!              │ queue full       │ whenever the queue is non-empty
+//!              ▼                  │ and the executor is free
+//!          Err(job)               ▼
+//!        ("overloaded")
 //! ```
 //!
 //! * **Admission** is lane-denominated: a queue holds at most
@@ -24,34 +24,21 @@
 //!   returns the job back (`Err`) when it does not fit — the caller
 //!   sheds it with an `overloaded` response. A job is never partially
 //!   admitted.
-//! * **Readiness** ([`Batcher::ready`]) fires on *fullness* (≥
-//!   [`LANES`] lanes queued) or *staleness* (the oldest job has waited
-//!   `max_wait`), so single queries are never starved behind an
-//!   unfilled plane.
+//! * **Readiness** is non-emptiness: the executor is work-conserving
+//!   and never waits for a plane to fill. Batching comes from what
+//!   piles up while the previous plane runs.
 //! * **Cutting** ([`Batcher::cut_plane`]) pops whole jobs FIFO until
 //!   the next job would overflow the plane. Jobs are never split across
 //!   planes (each is at most [`LANES`] lanes wide, enforced at request
 //!   parse time), so a batch request's lanes always execute together.
-//!   The plane's lane capacity is caller-chosen: under load the server
-//!   passes a wider capacity ([`plane_width_for_depth`] × [`LANES`])
-//!   so one cut drains what would otherwise take up to eight.
+//!   The server cuts with capacity [`MAX_LANES`], so one cut takes the
+//!   whole queue when it holds ≤ 512 lanes, and otherwise the longest
+//!   FIFO prefix that fits in 512.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use qpl_graph::batch::{width_for_lanes, LANES, MAX_LANES};
-
-/// Plane width (in 64-lane words) to cut for a queue currently holding
-/// `lanes_queued` lanes: the narrowest power-of-two plane that drains
-/// the whole queue in one cut, capped at [`MAX_LANES`] total lanes.
-///
-/// Depth 0..=64 → 1, 65..=128 → 2, 129..=256 → 4, 257+ → 8. A lightly
-/// loaded shard keeps cutting 64-lane planes (identical latency profile
-/// to the fixed-width batcher); a backlogged shard amortizes program
-/// dispatch over up to 512 lanes per cut.
-pub fn plane_width_for_depth(lanes_queued: usize) -> usize {
-    width_for_lanes(lanes_queued.clamp(1, MAX_LANES))
-}
+use qpl_graph::batch::{LANES, MAX_LANES};
 
 /// How many plane lanes a queued job occupies (its query count).
 pub trait LaneWeight {
@@ -59,8 +46,8 @@ pub trait LaneWeight {
     fn lanes(&self) -> usize;
 }
 
-/// Bounded FIFO of jobs with lane-denominated admission and
-/// deadline-or-fullness plane cutting.
+/// Bounded FIFO of jobs with lane-denominated admission and whole-job
+/// plane cutting.
 #[derive(Debug)]
 pub struct Batcher<T> {
     queue: VecDeque<(T, Instant)>,
@@ -97,29 +84,11 @@ impl<T: LaneWeight> Batcher<T> {
         Ok(())
     }
 
-    /// Whether a plane should be cut now: a full plane is queued, or
-    /// the oldest job has waited at least `max_wait`.
-    pub fn ready(&self, now: Instant, max_wait: Duration) -> bool {
-        if self.lanes_queued >= LANES {
-            return true;
-        }
-        match self.queue.front() {
-            Some((_, arrived)) => now.duration_since(*arrived) >= max_wait,
-            None => false,
-        }
-    }
-
-    /// When the oldest queued job hits its flush deadline (`None` when
-    /// empty) — what an executor sleeps until.
-    pub fn deadline(&self, max_wait: Duration) -> Option<Instant> {
-        self.queue.front().map(|(_, arrived)| *arrived + max_wait)
-    }
-
     /// Pops whole jobs FIFO into `out` (cleared first) until the plane
     /// is full or the next job would not fit. `max_lanes` is the
     /// plane's lane capacity (clamped to `LANES..=MAX_LANES`; the
-    /// server passes [`plane_width_for_depth`]` × LANES`). Returns the
-    /// lane total. Empty queue → 0 lanes, empty `out`.
+    /// server passes [`MAX_LANES`]). Returns the lane total. Empty
+    /// queue → 0 lanes, empty `out`.
     pub fn cut_plane(&mut self, max_lanes: usize, out: &mut Vec<(T, Instant)>) -> usize {
         let cap = max_lanes.clamp(LANES, MAX_LANES);
         out.clear();
@@ -137,11 +106,6 @@ impl<T: LaneWeight> Batcher<T> {
         }
         self.lanes_queued -= lanes;
         lanes
-    }
-
-    /// Jobs currently queued.
-    pub fn jobs_queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Lanes currently queued (summed over jobs).
@@ -191,22 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn readiness_fires_on_fullness_or_staleness() {
-        let t0 = Instant::now();
-        let wait = Duration::from_millis(5);
-        let mut b = Batcher::new(1000);
-        assert!(!b.ready(t0, wait), "empty queue is never ready");
-        b.offer(J(1), t0).unwrap();
-        assert!(!b.ready(t0, wait), "one fresh lane is not ready");
-        assert!(b.ready(t0 + wait, wait), "stale lane flushes");
-        assert_eq!(b.deadline(wait), Some(t0 + wait));
-        for _ in 0..63 {
-            b.offer(J(1), t0).unwrap();
-        }
-        assert!(b.ready(t0, wait), "full plane is ready immediately");
-    }
-
-    #[test]
     fn cut_plane_pops_whole_jobs_up_to_64_lanes() {
         let t0 = Instant::now();
         let mut b = Batcher::new(1000);
@@ -243,24 +191,9 @@ mod tests {
         for _ in 0..5 {
             b.offer(J(60), t0).unwrap();
         }
-        let width = plane_width_for_depth(b.lanes_queued());
-        assert_eq!(width, 8, "300 queued lanes call for the widest plane");
         let mut out = Vec::new();
-        assert_eq!(b.cut_plane(width * LANES, &mut out), 300);
+        assert_eq!(b.cut_plane(MAX_LANES, &mut out), 300);
         assert!(b.is_empty(), "one wide cut drains the whole backlog");
-    }
-
-    #[test]
-    fn plane_width_tracks_queue_depth() {
-        assert_eq!(plane_width_for_depth(0), 1);
-        assert_eq!(plane_width_for_depth(1), 1);
-        assert_eq!(plane_width_for_depth(64), 1);
-        assert_eq!(plane_width_for_depth(65), 2);
-        assert_eq!(plane_width_for_depth(128), 2);
-        assert_eq!(plane_width_for_depth(129), 4);
-        assert_eq!(plane_width_for_depth(256), 4);
-        assert_eq!(plane_width_for_depth(257), 8);
-        assert_eq!(plane_width_for_depth(10_000), 8, "capped at MAX_LANES");
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use qpl_serve::{ServeEngine, Server, ServerConfig};
 use qpl_workload::generator::KbParams;
 
 const USAGE: &str = "qpl_serve [--addr HOST:PORT] [--shape figure1|layered] [--seed N]\n\
-                     \u{20}         [--shards N] [--adapt DELTA] [--queue LANES] [--max-wait-us N]\n\
+                     \u{20}         [--shards N] [--adapt DELTA] [--queue LANES]\n\
                      \u{20}         [--data-dir PATH] [--fsync record|batch|off]\n\
  --addr HOST:PORT  bind address (default 127.0.0.1:7878; port 0 = ephemeral)\n\
  --shape SHAPE     knowledge base: figure1 (paper Fig. 1) or layered (default figure1)\n\
@@ -21,7 +20,6 @@ const USAGE: &str = "qpl_serve [--addr HOST:PORT] [--shape figure1|layered] [--s
  \u{20}                 replica (default: available cores)\n\
  --adapt DELTA     enable online PIB adaptation at confidence 1-DELTA (per shard)\n\
  --queue LANES     admission bound in queued query lanes, per shard (default 1024)\n\
- --max-wait-us N   batch flush deadline in microseconds (default 500)\n\
  --data-dir PATH   enable durability: recover from PATH at startup, journal\n\
  \u{20}                 every KB delta and adopted strategy, serve `checkpoint`\n\
  --fsync POLICY    WAL fsync policy with --data-dir: record, batch (default), off";
@@ -58,9 +56,6 @@ fn main() -> ExitCode {
             "--shards" => value.parse().map(|v: usize| cfg.shards = v.max(1)).is_ok(),
             "--adapt" => value.parse().map(|v| cfg.adapt_delta = Some(v)).is_ok(),
             "--queue" => value.parse().map(|v| cfg.queue_cap = v).is_ok(),
-            "--max-wait-us" => {
-                value.parse().map(|v| cfg.max_wait = Duration::from_micros(v)).is_ok()
-            }
             "--data-dir" => {
                 cfg.data_dir = Some(std::path::PathBuf::from(value));
                 true

@@ -3,8 +3,9 @@
 //!
 //! Speaks line-delimited JSON over TCP (wire protocol v1, see [`wire`]),
 //! steers whole jobs to one of N shared-nothing executor shards (each
-//! owning a full engine replica), coalesces concurrent queries into
-//! 64-lane bit-parallel planes per shard (see [`batcher`]), refuses
+//! owning a full engine replica), coalesces the queries that queue
+//! while a shard is busy into 64..512-lane bit-parallel planes (see
+//! [`batcher`]), refuses
 //! work beyond a bounded per-shard queue instead of degrading
 //! (`overloaded`), and — when enabled — hill-climbs the deployed
 //! strategy online per shard, merging accepted climbs across shards
@@ -21,7 +22,7 @@ pub mod batcher;
 pub mod server;
 pub mod wire;
 
-pub use batcher::{plane_width_for_depth, Batcher, LaneWeight};
+pub use batcher::{Batcher, LaneWeight};
 pub use server::{fallback_shard, steer_shard, ServeEngine, Server, ServerConfig};
 pub use wire::{
     parse_request, JsonValue, LaneResult, Request, ShardStatsView, StatsView, WIRE_VERSION,

@@ -16,14 +16,16 @@
 //!   owning a *shared-nothing replica* of the full engine state: its
 //!   own symbol table, compiled graph, fact database,
 //!   [`QueryProcessor`] with compiled program, [`BatchScratch`], PIB
-//!   learner, metrics sink, and service-time ring. A shard sleeps on
-//!   its own condvar until its [`Batcher`] is ready or a control
-//!   request arrives, cuts a 64-lane plane, classifies each query into
-//!   its Note-2 context, executes the plane bit-parallel, responds to
-//!   every job, and feeds the served contexts to `Pib::observe_batch`.
-//!   Nothing engine-shaped is shared between shards, so the hot path
-//!   takes no lock any other shard can hold and engine internals need
-//!   no `Sync`.
+//!   learner, metrics sink, and service-time ring. A shard is
+//!   work-conserving: it sleeps on its own condvar only while its
+//!   [`Batcher`] and control queue are both empty. When it wakes it
+//!   cuts everything queued (up to 512 lanes), classifies each query
+//!   into its Note-2 context, executes the plane bit-parallel, and
+//!   responds to every job; only then does it feed the served contexts
+//!   to `Pib::observe_batch` (and publish or journal a climb), still
+//!   before the next cut. Nothing engine-shaped is shared between
+//!   shards, so the hot path takes no lock any other shard can hold
+//!   and engine internals need no `Sync`.
 //!
 //! ## Steering
 //!
@@ -89,7 +91,7 @@ use qpl_workload::generator::{random_layered_kb, KbParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::batcher::{plane_width_for_depth, Batcher, LaneWeight};
+use crate::batcher::{Batcher, LaneWeight};
 use crate::wire::{self, LaneResult, Request, ShardStatsView, StatsView};
 
 /// Server tuning knobs. `Default` suits tests and small deployments.
@@ -104,9 +106,6 @@ pub struct ServerConfig {
     /// Admission bound in queued query lanes, *per shard*; at least one
     /// full plane.
     pub queue_cap: usize,
-    /// Flush deadline: the longest a queued request waits for its plane
-    /// to fill before executing anyway.
-    pub max_wait: Duration,
     /// Connection cap, enforced at accept time.
     pub max_connections: usize,
     /// Largest `"qs"` array accepted per batch request (clamped to the
@@ -140,7 +139,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             shards: 1,
             queue_cap: 1024,
-            max_wait: Duration::from_micros(500),
             max_connections: 256,
             max_batch: LANES,
             max_line_bytes: 64 * 1024,
@@ -1299,7 +1297,7 @@ fn executor_loop(
             ex.sink.counter(store_names::RECOVERY_REPLAYED, ex.records_replayed);
         }
         if init.torn_tail {
-            ex.sink.counter("store.recovery.torn_tail", 1);
+            ex.sink.counter(store_names::RECOVERY_TORN_TAIL, 1);
         }
     }
     let sq = &shared.shards[shard];
@@ -1315,30 +1313,15 @@ fn executor_loop(
                 while let Some(c) = st.control.pop_front() {
                     controls.push(c);
                 }
-                let now = Instant::now();
-                let ready =
-                    st.batcher.ready(now, cfg.max_wait) || (st.draining && !st.batcher.is_empty());
-                if ready {
-                    // Under load the cut widens (up to 512 lanes) so one
-                    // dispatch drains what would otherwise take eight.
-                    let cap = plane_width_for_depth(st.batcher.lanes_queued()) * LANES;
-                    st.batcher.cut_plane(cap, &mut jobs);
-                }
-                if ready || !controls.is_empty() || (st.draining && st.batcher.is_empty()) {
+                // Work-conserving: whatever queued while the previous
+                // plane ran is cut now, up to the widest plane.
+                st.batcher.cut_plane(MAX_LANES, &mut jobs);
+                if !jobs.is_empty() || !controls.is_empty() || st.draining {
                     exit = st.draining && st.batcher.is_empty() && jobs.is_empty();
                     sq.depth.store(st.batcher.lanes_queued(), Ordering::Relaxed);
                     break (st.batcher.lanes_queued() as u64, st.batcher.shed_count());
                 }
-                st = match st.batcher.deadline(cfg.max_wait) {
-                    Some(deadline) => {
-                        let wait = deadline.saturating_duration_since(Instant::now());
-                        sq.cv
-                            .wait_timeout(st, wait)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .0
-                    }
-                    None => sq.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner),
-                };
+                st = sq.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
         if declined > ex.declined_emitted {
@@ -1650,9 +1633,12 @@ impl Executor<'_> {
     }
 
     /// Serves one cut plane: classify every query into a lane, execute
-    /// the plane bit-parallel (bit-identical to scalar runs), respond
-    /// to every job, feed the contexts to the adaptation loop, publish
-    /// any accepted climb to the peer shards.
+    /// the plane bit-parallel (bit-identical to scalar runs), and
+    /// respond to every job. Only once every reply has left does the
+    /// plane feed the adaptation loop ([`Executor::learn`]), so PIB's
+    /// cost never sits inside a request's latency; it still runs
+    /// before the next cut, so the next plane serves the post-climb
+    /// strategy.
     fn process_plane(&mut self, jobs: &mut Vec<(Job, Instant)>, shared: &Shared) {
         let t0 = Instant::now();
         self.results.clear();
@@ -1742,43 +1728,19 @@ impl Executor<'_> {
             self.sink.counter(names::BATCHES, 1);
             self.sink.value(names::BATCH_FILL, lanes as f64 / (width * LANES) as f64);
             self.sink.value(names::PLANE_WIDTH, width as f64);
-            // Online adaptation: the served plane *is* the PIB sample
-            // batch. On an accepted climb, swap the processor's compiled
-            // program (fingerprint-memoized inside set_strategy) and
-            // publish the strategy so peer shards can adopt it.
-            if let Some(pib) = &mut self.pib {
-                pib.observe_batch(self.g, self.scratch.batch());
-                let fp = pib.strategy().fingerprint();
-                if fp != self.current_fp {
-                    self.qp.set_strategy(pib.strategy().clone());
-                    self.current_fp = fp;
-                    let accepted = pib.history().len() as u64;
-                    self.sink.counter(names::CLIMBS, accepted - self.climbs);
-                    self.climbs = accepted;
-                    {
-                        let mut slot = lock_unpoisoned(&shared.board.slot);
-                        *slot = Some((fp, pib.strategy().clone()));
-                    }
-                    shared.board.epoch.fetch_add(1, Ordering::Release);
-                    self.sink.counter(names::SHARD_PUBLISHED, 1);
-                    self.journal_strategy(fp);
-                }
-            }
         }
         if cache_hits > 0 {
             // Hit lanes are served queries too — they just never cost
             // plane capacity, so they stay out of the fill numerator.
             self.served += cache_hits;
             self.sink.counter(names::QUERIES, cache_hits);
-            self.sink.counter("serve.cache.hits", cache_hits);
+            self.sink.counter(names::CACHE_HITS, cache_hits);
         }
         if plane_errors > 0 {
             self.errors += plane_errors;
             self.sink.counter(names::ERRORS, plane_errors);
         }
-        self.sink.span_ns(names::EXEC, t0.elapsed().as_nanos() as u64);
-        let done = Instant::now();
-        for ((job, enqueued), row) in jobs.drain(..).zip(self.results.drain(..)) {
+        for ((job, _), row) in jobs.iter().zip(self.results.drain(..)) {
             let filled: Vec<LaneResult> =
                 row.into_iter().map(|r| r.expect("every lane filled")).collect();
             let line = if job.batch {
@@ -1789,10 +1751,46 @@ impl Executor<'_> {
             // A send error means the client hung up; the work is done
             // either way.
             let _ = job.resp.send(line);
+        }
+        let done = Instant::now();
+        self.sink.span_ns(names::EXEC, done.duration_since(t0).as_nanos() as u64);
+        for (_, enqueued) in jobs.drain(..) {
             let us = done.duration_since(enqueued).as_secs_f64() * 1e6;
             self.ring.push(us);
             self.sink.value(names::SERVICE_US, us);
         }
+        if lanes > 0 {
+            self.learn(shared);
+        }
+    }
+
+    /// Online adaptation on the plane just served: the plane *is* the
+    /// PIB sample batch (the scratch still holds its contexts). On an
+    /// accepted climb, swap the processor's compiled program
+    /// (fingerprint-memoized inside `set_strategy`), publish the
+    /// strategy so peer shards can adopt it, and journal it.
+    fn learn(&mut self, shared: &Shared) {
+        let Some(pib) = &mut self.pib else {
+            return;
+        };
+        let t0 = Instant::now();
+        pib.observe_batch(self.g, self.scratch.batch());
+        let fp = pib.strategy().fingerprint();
+        if fp != self.current_fp {
+            self.qp.set_strategy(pib.strategy().clone());
+            self.current_fp = fp;
+            let accepted = pib.history().len() as u64;
+            self.sink.counter(names::CLIMBS, accepted - self.climbs);
+            self.climbs = accepted;
+            {
+                let mut slot = lock_unpoisoned(&shared.board.slot);
+                *slot = Some((fp, pib.strategy().clone()));
+            }
+            shared.board.epoch.fetch_add(1, Ordering::Release);
+            self.sink.counter(names::SHARD_PUBLISHED, 1);
+            self.journal_strategy(fp);
+        }
+        self.sink.span_ns(names::LEARN, t0.elapsed().as_nanos() as u64);
     }
 
     fn shard_stats(&self, queue_lanes: u64, declined: u64) -> ShardStats {

@@ -1,18 +1,21 @@
 //! Property tests for the dynamic batcher: under arbitrary arrival
-//! patterns, queue bounds, and flush deadlines —
+//! patterns, queue bounds, and executor busy/free interleavings —
 //!
 //! * every offered request is either served exactly once or shed with
 //!   an explicit refusal (never dropped, never double-served, never
-//!   split across planes), and
+//!   split across planes),
 //! * executing the cut planes bit-parallel produces exactly the
 //!   per-lane cost (f64 bit pattern) and outcome that scalar execution
-//!   of the same context produces.
+//!   of the same context produces, and
+//! * the server's work-conserving cut (`cut_plane(MAX_LANES)`) takes
+//!   the whole queue when it holds ≤ 512 lanes, and otherwise the
+//!   longest FIFO prefix of whole jobs that fits in 512.
 //!
-//! The batcher takes `Instant`s from the caller, so the tests drive it
-//! with a synthetic clock — no sleeps, fully deterministic.
+//! The batcher never reads a clock, so the tests need no sleeps and
+//! are fully deterministic.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use proptest::prelude::*;
 use proptest::{collection, num};
@@ -20,7 +23,7 @@ use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES, MAX_LANES};
 use qpl_graph::context::{Context, RunScratch};
 use qpl_graph::program::{execute_program_into, StrategyProgram};
 use qpl_graph::{InferenceGraph, Strategy};
-use qpl_serve::batcher::{plane_width_for_depth, Batcher, LaneWeight};
+use qpl_serve::batcher::{Batcher, LaneWeight};
 use qpl_workload::generator::{random_tree_with_retrievals, TreeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +36,18 @@ struct Req {
 impl LaneWeight for Req {
     fn lanes(&self) -> usize {
         self.contexts.len()
+    }
+}
+
+/// A job that is only its lane count, for cut-shape properties.
+struct LaneJob {
+    id: usize,
+    lanes: usize,
+}
+
+impl LaneWeight for LaneJob {
+    fn lanes(&self) -> usize {
+        self.lanes
     }
 }
 
@@ -60,11 +75,10 @@ fn serve_plane(
     batcher: &mut Batcher<Req>,
     plane_buf: &mut Vec<(Req, Instant)>,
 ) -> Vec<usize> {
-    // Cut at the width the server would pick for this queue depth, so
-    // the property covers 64..512-lane planes under backlog.
-    let cap = plane_width_for_depth(batcher.lanes_queued()) * LANES;
-    let lanes = batcher.cut_plane(cap, plane_buf);
-    assert!(lanes <= cap && cap <= MAX_LANES, "a plane never exceeds its cut capacity");
+    // Cut the way the server does: everything queued, up to the widest
+    // plane, so the property covers 64..512-lane planes under backlog.
+    let lanes = batcher.cut_plane(MAX_LANES, plane_buf);
+    assert!(lanes <= MAX_LANES, "a plane never exceeds its cut capacity");
     let contexts: Vec<&Context> =
         plane_buf.iter().flat_map(|(req, _)| req.contexts.iter()).collect();
     assert_eq!(contexts.len(), lanes, "jobs are whole: lane sums match the cut");
@@ -100,18 +114,15 @@ proptest! {
     #[test]
     fn arbitrary_arrivals_serve_once_or_shed_and_match_scalar(
         graph_seed in 0u64..32,
-        jobs in collection::vec((1usize..=3, num::u64::ANY, 0u64..4), 1..48),
+        jobs in collection::vec((1usize..=3, num::u64::ANY, num::bool::ANY), 1..48),
         cap in 8usize..96,
-        wait_ms in 1u64..8,
     ) {
         let g = graph_for(graph_seed);
         let strategy = Strategy::left_to_right(&g);
         let p = StrategyProgram::compile(&g, &strategy)
             .expect("left-to-right strategies are path-form");
-        let wait = Duration::from_millis(wait_ms);
 
-        let t0 = Instant::now();
-        let mut now = t0;
+        let now = Instant::now();
         let mut batcher: Batcher<Req> = Batcher::new(cap);
         let mut plane_buf = Vec::new();
         let mut fates: BTreeMap<usize, &'static str> = BTreeMap::new();
@@ -123,10 +134,11 @@ proptest! {
             Ok(())
         };
 
-        for (id, (w, mask, gap_ms)) in jobs.iter().enumerate() {
-            now += Duration::from_millis(*gap_ms);
-            // The executor cuts every plane that is due before this arrival.
-            while batcher.ready(now, wait) {
+        for (id, (w, mask, busy)) in jobs.iter().enumerate() {
+            // A free executor is work-conserving: it cuts everything
+            // queued before this arrival. A busy one is still running
+            // its previous plane, so arrivals pile up (and may shed).
+            while !busy && !batcher.is_empty() {
                 for sid in serve_plane(&g, &p, &mut batcher, &mut plane_buf) {
                     record(&mut fates, sid, "served")?;
                 }
@@ -155,5 +167,35 @@ proptest! {
         prop_assert_eq!(served + shed, jobs.len());
         prop_assert_eq!(shed as u64, batcher.shed_count());
         prop_assert_eq!(served as u64, batcher.admitted_count());
+    }
+
+    #[test]
+    fn widest_cut_takes_the_whole_queue_or_the_longest_fitting_prefix(
+        widths in collection::vec(1usize..=LANES, 1..40),
+    ) {
+        let now = Instant::now();
+        let mut batcher: Batcher<LaneJob> = Batcher::new(usize::MAX);
+        for (id, &lanes) in widths.iter().enumerate() {
+            prop_assert!(batcher.offer(LaneJob { id, lanes }, now).is_ok());
+        }
+        let queued: usize = widths.iter().sum();
+        // The longest FIFO prefix of whole jobs that fits in one plane.
+        let mut prefix = 0usize;
+        let mut prefix_lanes = 0usize;
+        while prefix < widths.len() && prefix_lanes + widths[prefix] <= MAX_LANES {
+            prefix_lanes += widths[prefix];
+            prefix += 1;
+        }
+
+        let mut out = Vec::new();
+        let lanes = batcher.cut_plane(MAX_LANES, &mut out);
+        if queued <= MAX_LANES {
+            prop_assert_eq!(lanes, queued, "a queue that fits is cut whole");
+            prop_assert!(batcher.is_empty());
+        }
+        prop_assert_eq!(lanes, prefix_lanes);
+        let ids: Vec<usize> = out.iter().map(|(job, _)| job.id).collect();
+        prop_assert_eq!(ids, (0..prefix).collect::<Vec<_>>(), "FIFO prefix, no reordering");
+        prop_assert_eq!(batcher.lanes_queued(), queued - prefix_lanes);
     }
 }

@@ -4,6 +4,8 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -198,7 +200,6 @@ fn overload_accounting(shards: usize) {
     let server = start(ServerConfig {
         shards,
         queue_cap: 64, // one plane per shard: concurrent batches contend hard
-        max_wait: Duration::from_micros(100),
         ..ServerConfig::default()
     });
     let addr = server.local_addr();
@@ -321,73 +322,119 @@ fn adaptation_keeps_answers_correct() {
     server.join();
 }
 
-/// Drain must flush every shard: jobs are parked in shard queues (huge
-/// flush deadline, planes far from full), then shutdown fires — every
-/// admitted job must still get its real, bit-identical answer, at any
-/// shard count. The acceptor stays up until the last shard drains, so
-/// no client loses its socket mid-drain.
+/// Drain must flush every shard: shutdown fires while every client is
+/// streaming full 64-lane batches, most of them memo misses (fresh
+/// constants), so shard queues hold admitted jobs when the drain flag
+/// flips. Every request must get exactly one response line — an
+/// admitted job its real, bit-identical answers, a late one
+/// `shutting_down` — at any shard count. The acceptor stays up until
+/// the last shard drains, so no client loses its socket mid-drain.
 #[test]
 fn drain_flushes_every_shard_without_dropping_admitted_jobs() {
-    const CLIENTS: usize = 24;
-    let texts = query_texts(CLIENTS);
-    let expected = direct_expectations(&texts);
+    const CLIENTS: usize = 48;
+    const BATCH: usize = 64;
+    let constants = layered_params().constants;
+    // Request `k` of client `c`: every fourth lane a KB constant (memo
+    // hits after the first plane, some provable), the rest fresh.
+    let batch_texts = move |c: usize, k: usize| -> Vec<String> {
+        (0..BATCH)
+            .map(|j| {
+                if j % 4 == 0 {
+                    format!("q0(c{})", (c + k + j) % constants)
+                } else {
+                    format!("q0(x{c}_{k}_{j})")
+                }
+            })
+            .collect()
+    };
 
     for shards in [1usize, 2, 4] {
         let server = start(ServerConfig {
             shards,
-            // Nothing cuts a plane on its own: 1-lane jobs never fill a
-            // plane and the deadline is far beyond the test's lifetime.
-            max_wait: Duration::from_secs(600),
+            // Every client's batch fits in one shard's queue at once.
+            queue_cap: CLIENTS * BATCH,
+            // Handlers close an idle socket one read poll after the
+            // drain flag flips; a long poll keeps a briefly descheduled
+            // client from reading that as a lost socket.
+            read_poll: Duration::from_secs(5),
             ..ServerConfig::default()
         });
+        let streaming = Arc::new(AtomicUsize::new(0));
 
         let handles: Vec<_> = (0..CLIENTS)
-            .map(|i| {
+            .map(|c| {
                 let addr = server.local_addr();
-                let text = texts[i].clone();
+                let streaming = Arc::clone(&streaming);
                 thread::spawn(move || {
                     let mut stream = TcpStream::connect(addr).expect("connect");
                     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
                     let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    roundtrip(
-                        &mut stream,
-                        &mut reader,
-                        &format!(r#"{{"kind":"query","q":"{text}","id":{i}}}"#),
-                    )
+                    // One response per request, until the server
+                    // refuses one with `shutting_down`.
+                    let mut got = Vec::new();
+                    for k in 0.. {
+                        let qs = batch_texts(c, k)
+                            .iter()
+                            .map(|t| format!("\"{t}\""))
+                            .collect::<Vec<_>>()
+                            .join(",");
+                        let resp = roundtrip(
+                            &mut stream,
+                            &mut reader,
+                            &format!(r#"{{"kind":"batch","qs":[{qs}],"id":{k}}}"#),
+                        );
+                        let refused = resp.get("kind").and_then(JsonValue::as_str) == Some("error");
+                        if k == 0 {
+                            streaming.fetch_add(1, Ordering::SeqCst);
+                        }
+                        got.push(resp);
+                        if refused {
+                            break;
+                        }
+                    }
+                    got
                 })
             })
             .collect();
 
-        // Wait until all jobs are admitted and parked across the shard
-        // queues (the stats control path bypasses admission).
-        let (mut s, mut r) = connect(&server);
+        // Fire shutdown only once every client has been answered at
+        // least once, so all of them are mid-stream when it lands.
         let t0 = std::time::Instant::now();
-        loop {
-            let stats = roundtrip(&mut s, &mut r, r#"{"kind":"stats"}"#);
-            let queued = stats.get("queue_lanes").and_then(JsonValue::as_f64).unwrap_or(0.0);
-            if queued as usize == CLIENTS {
-                break;
-            }
+        while streaming.load(Ordering::SeqCst) < CLIENTS {
             assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "shards={shards}: only {queued} of {CLIENTS} jobs admitted in time"
+                t0.elapsed() < Duration::from_secs(30),
+                "shards={shards}: clients did not start streaming in time"
             );
-            thread::sleep(Duration::from_millis(5));
+            thread::sleep(Duration::from_millis(1));
         }
-
         server.shutdown();
-        for (i, h) in handles.into_iter().enumerate() {
-            let resp = h.join().expect("drained client thread");
+
+        for (c, h) in handles.into_iter().enumerate() {
+            let got = h.join().expect("drained client thread");
+            let (last, served) = got.split_last().expect("every client sent requests");
             assert_eq!(
-                resp.get("kind").and_then(JsonValue::as_str),
-                Some("answer"),
-                "shards={shards}: job {i} admitted before drain must be served, not dropped"
+                last.get("error").and_then(JsonValue::as_str),
+                Some("shutting_down"),
+                "shards={shards}: client {c} streamed until the drain refused it"
             );
-            let (kind, witness, cost) = result_fields(resp.get("result").unwrap());
-            let (exp_kind, exp_witness, exp_cost) = &expected[i];
-            assert_eq!(&kind, exp_kind, "shards={shards}: drained answer is real");
-            assert_eq!(&witness, exp_witness);
-            assert_eq!(cost, Some(*exp_cost), "drained answers stay bit-identical");
+            for (k, resp) in served.iter().enumerate() {
+                assert_eq!(
+                    resp.get("kind").and_then(JsonValue::as_str),
+                    Some("answers"),
+                    "shards={shards}: an admitted job must be served, not dropped"
+                );
+                assert_eq!(resp.get("id").and_then(JsonValue::as_f64), Some(k as f64));
+                let results = resp.get("results").and_then(JsonValue::as_array).unwrap();
+                let texts = batch_texts(c, k);
+                assert_eq!(results.len(), texts.len(), "one result per lane");
+                for (r, exp) in results.iter().zip(direct_expectations(&texts)) {
+                    let (kind, witness, cost) = result_fields(r);
+                    let (exp_kind, exp_witness, exp_cost) = exp;
+                    assert_eq!(kind, exp_kind, "shards={shards}: drained answer is real");
+                    assert_eq!(witness, exp_witness);
+                    assert_eq!(cost, Some(exp_cost), "drained answers stay bit-identical");
+                }
+            }
         }
         server.join();
     }
@@ -461,6 +508,25 @@ fn stats_schema_covers_per_shard_breakdown() {
         metrics.get("schema_version").and_then(JsonValue::as_f64).is_some(),
         "metrics is an embedded snapshot object"
     );
+    let count = |section: &str, name: &str| {
+        metrics
+            .get(section)
+            .and_then(|s| s.get(name))
+            .and_then(|m| m.get("count"))
+            .and_then(JsonValue::as_f64)
+            .unwrap_or_else(|| panic!("metrics {section} missing {name}"))
+    };
+    let planes = stats.get("batches").and_then(JsonValue::as_f64).unwrap();
+    assert!(planes > 0.0, "the rounds executed planes");
+    // One client, one request in flight: every request is its own cut,
+    // including memo-only cuts that execute no plane.
+    assert_eq!(count("spans", "serve.exec"), ROUNDS as f64, "one serve.exec span per cut");
+    assert_eq!(
+        count("spans", "serve.learn"),
+        planes,
+        "with adaptation on, every executed plane is observed after its replies"
+    );
+    assert_eq!(count("values", "serve.service_us"), ROUNDS as f64, "one service time per request");
 
     server.shutdown();
     server.join();

@@ -21,18 +21,16 @@
 //!   explained exactly by fallbacks and refusals.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use proptest::prelude::*;
 use proptest::{collection, num};
 use qpl_datalog::parser::parse_query;
 use qpl_datalog::SymbolTable;
 use qpl_engine::qp::{classify_context_into, BatchScratch, QueryAnswer, QueryProcessor};
-use qpl_graph::batch::LANES;
+use qpl_graph::batch::{LANES, MAX_LANES};
 use qpl_graph::{ArcId, ArcOutcome};
-use qpl_serve::{
-    fallback_shard, plane_width_for_depth, steer_shard, Batcher, LaneWeight, ServeEngine,
-};
+use qpl_serve::{fallback_shard, steer_shard, Batcher, LaneWeight, ServeEngine};
 
 /// Query pool over the Figure-1 KB: known and unknown constants, so
 /// planes mix `yes` and `no` lanes.
@@ -209,13 +207,11 @@ proptest! {
 
     #[test]
     fn steered_admission_serves_or_refuses_every_job_exactly_once(
-        jobs in collection::vec((1usize..=3, num::u64::ANY, 0u64..4), 1..64),
+        jobs in collection::vec((1usize..=3, num::u64::ANY, num::u8::ANY), 1..64),
         shards in 1usize..=4,
         cap in 4usize..48,
-        wait_ms in 1u64..8,
     ) {
-        let wait = Duration::from_millis(wait_ms);
-        let mut now = Instant::now();
+        let now = Instant::now();
         let mut batchers: Vec<Batcher<J>> = (0..shards).map(|_| Batcher::new(cap)).collect();
         let mut plane = Vec::new();
         let mut fates: BTreeMap<usize, &'static str> = BTreeMap::new();
@@ -229,13 +225,13 @@ proptest! {
         let mut refused = 0u64;
         let mut fallbacks = 0u64;
 
-        for (id, &(w, salt, gap_ms)) in jobs.iter().enumerate() {
-            now += Duration::from_millis(gap_ms);
-            // Executors cut every plane due before this arrival.
-            for b in batchers.iter_mut() {
-                while b.ready(now, wait) {
-                    let cap = plane_width_for_depth(b.lanes_queued()) * LANES;
-                    b.cut_plane(cap, &mut plane);
+        for (id, &(w, salt, busy)) in jobs.iter().enumerate() {
+            // Bit `s` of `busy` says shard `s` is still running its
+            // previous plane at this arrival; a free shard is
+            // work-conserving and cuts everything queued.
+            for (s, b) in batchers.iter_mut().enumerate() {
+                while (busy >> s) & 1 == 0 && !b.is_empty() {
+                    b.cut_plane(MAX_LANES, &mut plane);
                     for (j, _) in plane.drain(..) {
                         record(&mut fates, j.id, "served")?;
                     }
@@ -263,8 +259,7 @@ proptest! {
         // Drain: what every shard does on shutdown.
         for b in batchers.iter_mut() {
             while !b.is_empty() {
-                let cap = plane_width_for_depth(b.lanes_queued()) * LANES;
-                b.cut_plane(cap, &mut plane);
+                b.cut_plane(MAX_LANES, &mut plane);
                 for (j, _) in plane.drain(..) {
                     record(&mut fates, j.id, "served")?;
                 }
