@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpl_datalog::parser::{parse_query, parse_query_form};
-use qpl_engine::QueryProcessor;
+use qpl_engine::{classify_context_into, QueryProcessor};
 use qpl_graph::compile::{compile, CompileOptions};
+use qpl_graph::context::{execute_into, Context, RunScratch};
 use qpl_workload::generator::{random_layered_kb, KbParams};
 use qpl_workload::university;
 use rand::rngs::StdRng;
@@ -52,9 +53,9 @@ fn bench_layered(c: &mut Criterion) {
 }
 
 fn bench_lazy_vs_eager(c: &mut Criterion) {
-    // Eager runs classify every arc up front (probing the database for
-    // every retrieval); lazy probes only what the strategy attempts —
-    // on a successful first path that is a single probe.
+    // Eager classifies every arc up front (a database probe per
+    // retrieval) and then executes; `run` probes only what the strategy
+    // attempts — on a successful first path, that path alone.
     let mut group = c.benchmark_group("qp_lazy_vs_eager");
     let mut rng = StdRng::seed_from_u64(42);
     let params = KbParams { layers: 4, rules_per_layer: 3, ..Default::default() };
@@ -65,12 +66,15 @@ fn bench_lazy_vs_eager(c: &mut Criterion) {
         .map(|i| parse_query(&format!("{root}(c{i})"), &mut table).expect("parses"))
         .collect();
     let qp = QueryProcessor::left_to_right(&cg);
+    let mut ctx = Context::all_open(&cg.graph);
+    let mut scratch = RunScratch::new(&cg.graph);
     group.bench_function("eager", |b| {
         let mut i = 0;
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            qp.run(std::hint::black_box(q), &db).expect("valid")
+            classify_context_into(&cg, std::hint::black_box(q), &db, &mut ctx).expect("valid");
+            execute_into(&cg.graph, qp.strategy(), &ctx, &mut scratch)
         })
     });
     group.bench_function("lazy", |b| {
@@ -78,7 +82,7 @@ fn bench_lazy_vs_eager(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            qp.run_lazy(std::hint::black_box(q), &db).expect("valid")
+            qp.run_into(std::hint::black_box(q), &db, &mut scratch).expect("valid")
         })
     });
     group.finish();

@@ -49,7 +49,6 @@ pub use cache::{
 pub use magic::{MagicAnswer, MagicRunner};
 pub use oracle::{ContextOracle, QueryMixOracle};
 pub use par::{
-    batch_fold, batch_fold_blocks, batch_fold_blocks_observed, batch_fold_scratch,
-    batch_fold_scratch_observed, par_map_indexed, sample_rng, sample_seed, ParConfig,
+    batch_fold, batch_fold_scratch, par_map_indexed, sample_rng, sample_seed, ParConfig,
 };
 pub use qp::{classify_context, classify_context_into, BatchScratch, QueryAnswer, QueryProcessor};

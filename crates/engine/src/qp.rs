@@ -4,18 +4,18 @@
 //! mapped to its blocked-arc equivalence class by evaluating every arc's
 //! binding — a reduction is blocked iff one of its unification guards
 //! fails for this query's constants; a retrieval is blocked iff its
-//! instantiated pattern matches no stored fact. [`QueryProcessor`] then
-//! executes the graph-level strategy in that class and reports the
-//! answer, cost, and trace.
+//! instantiated pattern matches no stored fact. [`QueryProcessor`]
+//! executes the graph-level strategy and reports the answer, cost, and
+//! trace. It decides the same per-arc statuses lazily, probing the
+//! database only for the arcs the strategy attempts, so its trace equals
+//! execution in the classified context.
 
 use crate::cache::{DependencyFootprint, RunCache};
 use qpl_datalog::{Atom, Database, Substitution, Symbol, Term, Var};
-use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES, MAX_LANES};
+use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES};
 use qpl_graph::compile::{ArcBinding, CompiledGraph, Guard, PatternTerm};
-use qpl_graph::context::{
-    execute_partial_into, execute_probe_into, Context, RunOutcome, RunScratch, Trace,
-};
-use qpl_graph::program::{execute_program_partial_into, StrategyProgram};
+use qpl_graph::context::{execute_probe_into, Context, RunOutcome, RunScratch, Trace};
+use qpl_graph::program::{execute_program_probe_into, StrategyProgram};
 use qpl_graph::strategy::Strategy;
 use qpl_graph::{ArcId, GraphError, InferenceGraph};
 
@@ -90,14 +90,23 @@ pub fn classify_context_into(
     db: &Database,
     out: &mut Context,
 ) -> Result<(), GraphError> {
+    let constants = bound_constants(compiled, query)?;
+    out.reset_from_fn(&compiled.graph, |a| arc_blocked(compiled.binding(a), &constants, db));
+    Ok(())
+}
+
+/// The query's constants at the compiled form's bound positions.
+///
+/// # Errors
+/// [`GraphError::InvalidStrategy`] if the query does not match the
+/// compiled query form.
+fn bound_constants(compiled: &CompiledGraph, query: &Atom) -> Result<Vec<Symbol>, GraphError> {
     if !compiled.form.matches(query) {
         return Err(GraphError::InvalidStrategy(
             "query does not match compiled form (predicate/arity/binding mismatch)".to_string(),
         ));
     }
-    let constants = compiled.form.bound_constants(query);
-    out.reset_from_fn(&compiled.graph, |a| arc_blocked(compiled.binding(a), &constants, db));
-    Ok(())
+    Ok(compiled.form.bound_constants(query))
 }
 
 /// Whether one arc is blocked for the given query constants and database.
@@ -118,16 +127,16 @@ fn arc_blocked(binding: &ArcBinding, constants: &[Symbol], db: &Database) -> boo
     }
 }
 
-/// Reusable buffers for the batch entry points
-/// ([`QueryProcessor::run_batch_into`]): the context plane, the result
-/// planes, a classification staging context, and a scalar scratch for
+/// Reusable buffers for the served plane path (per-lane pool
+/// classification, [`assemble_pool_plane`](Self::assemble_pool_plane),
+/// then [`QueryProcessor::run_classified_batch`]): the context plane, the
+/// result planes, the per-lane pool contexts, and a scalar scratch for
 /// the interpreter fallback. One of these per serving thread makes the
-/// whole batch path allocation-free after warm-up.
+/// whole plane path allocation-free after warm-up.
 #[derive(Debug, Clone)]
 pub struct BatchScratch {
     batch: ContextBatch,
     run: BatchRun,
-    staging: Context,
     scratch: RunScratch,
     /// Per-lane staging contexts for lossy plane assembly
     /// ([`pool_context`](Self::pool_context)), grown on demand.
@@ -140,7 +149,6 @@ impl BatchScratch {
         Self {
             batch: ContextBatch::new(g.arc_count(), LANES),
             run: BatchRun::new(),
-            staging: Context::all_open(g),
             scratch: RunScratch::new(g),
             pool: Vec::new(),
         }
@@ -149,9 +157,7 @@ impl BatchScratch {
     /// Lane `lane`'s pool context, growing the pool on demand — for
     /// callers that classify queries one at a time with per-lane error
     /// isolation (a serving shard keeps the lanes that classify and
-    /// fails the rest individually, where
-    /// [`classify_batch_into`](QueryProcessor::classify_batch_into)
-    /// would reject the whole plane). Contents are whatever the caller
+    /// fails the rest individually). Contents are whatever the caller
     /// last wrote; always classify into it before assembling.
     pub fn pool_context(&mut self, g: &InferenceGraph, lane: usize) -> &mut Context {
         while self.pool.len() <= lane {
@@ -161,9 +167,7 @@ impl BatchScratch {
     }
 
     /// Assembles pool contexts `0..lanes` into the plane (reset to
-    /// exactly `lanes` lanes over `arc_count` arcs) — the lossy
-    /// counterpart of
-    /// [`classify_batch_into`](QueryProcessor::classify_batch_into).
+    /// exactly `lanes` lanes over `arc_count` arcs).
     ///
     /// # Panics
     /// If fewer than `lanes` pool contexts exist.
@@ -183,17 +187,10 @@ impl BatchScratch {
         (&self.batch, &mut self.run, &mut self.scratch)
     }
 
-    /// The context plane filled by the most recent
-    /// [`run_batch_into`](QueryProcessor::run_batch_into) chunk — the
-    /// classified contexts an adaptation loop feeds to
-    /// `Pib::observe_batch`.
+    /// The most recently assembled context plane — the classified
+    /// contexts an adaptation loop feeds to `Pib::observe_batch`.
     pub fn batch(&self) -> &ContextBatch {
         &self.batch
-    }
-
-    /// The result planes of the most recent chunk.
-    pub fn run(&self) -> &BatchRun {
-        &self.run
     }
 }
 
@@ -204,8 +201,6 @@ pub struct QueryRun {
     pub answer: QueryAnswer,
     /// The graph-level execution trace (arc outcomes and cost).
     pub trace: Trace,
-    /// The context class the query fell into.
-    pub context: Context,
 }
 
 /// A query processor `⟨G, Θ⟩` bound to a compiled graph.
@@ -270,7 +265,13 @@ impl<'g> QueryProcessor<'g> {
         &self.footprint
     }
 
-    /// Processes one query against `db`.
+    /// Processes one query against `db`, lazily: an arc's status is
+    /// decided by a database probe only when the strategy attempts it,
+    /// so a query answered on its first path probes that path alone.
+    /// The trace equals the interpreter's
+    /// [`execute`](qpl_graph::context::execute) on the fully classified
+    /// context ([`classify_context`]), tested for every Figure-1
+    /// strategy and for the interpreter fallback.
     ///
     /// # Errors
     /// [`GraphError::InvalidStrategy`] if the query does not match the
@@ -278,13 +279,13 @@ impl<'g> QueryProcessor<'g> {
     pub fn run(&self, query: &Atom, db: &Database) -> Result<QueryRun, GraphError> {
         let mut scratch = RunScratch::new(&self.compiled.graph);
         let answer = self.run_into(query, db, &mut scratch)?;
-        Ok(QueryRun { answer, trace: scratch.to_trace(), context: scratch.partial().clone() })
+        Ok(QueryRun { answer, trace: scratch.to_trace() })
     }
 
-    /// [`run`](Self::run) into reusable buffers: classifies the context
-    /// into the scratch's partial buffer and executes there, so a query
-    /// loop holding one [`RunScratch`] allocates nothing per query. The
-    /// trace and context remain readable off the scratch.
+    /// [`run`](Self::run) into reusable buffers, so a query loop holding
+    /// one [`RunScratch`] allocates no run state per query. Drives the
+    /// compiled program, or the interpreter when the strategy does not
+    /// lower; the trace remains readable off the scratch.
     ///
     /// # Errors
     /// As for [`run`](Self::run).
@@ -294,114 +295,15 @@ impl<'g> QueryProcessor<'g> {
         db: &Database,
         scratch: &mut RunScratch,
     ) -> Result<QueryAnswer, GraphError> {
-        classify_context_into(self.compiled, query, db, scratch.partial_mut())?;
+        let constants = bound_constants(self.compiled, query)?;
+        let probe = |a| arc_blocked(self.compiled.binding(a), &constants, db);
         let outcome = match &self.program {
-            Some(p) => execute_program_partial_into(p, scratch),
-            None => execute_partial_into(&self.compiled.graph, &self.strategy, scratch),
+            Some(p) => execute_program_probe_into::<true>(p, scratch, probe),
+            None => {
+                execute_probe_into::<true>(&self.compiled.graph, &self.strategy, scratch, probe)
+            }
         };
-        Ok(match outcome {
-            RunOutcome::Succeeded(arc) => QueryAnswer::Yes(self.witness(arc, query, db)),
-            RunOutcome::Exhausted => QueryAnswer::No,
-        })
-    }
-
-    /// Processes one query against `db` *lazily*: arc statuses are
-    /// evaluated only when the strategy actually attempts the arc, so a
-    /// query answered on the first path touches exactly one database
-    /// probe — the way a real deployment would run. Produces a trace
-    /// identical to [`run`](Self::run) (property-tested), but the
-    /// returned [`QueryRun::context`] contains statuses only for
-    /// attempted arcs (unattempted arcs read as open).
-    ///
-    /// # Errors
-    /// [`GraphError::InvalidStrategy`] if the query does not match the
-    /// compiled form.
-    pub fn run_lazy(&self, query: &Atom, db: &Database) -> Result<QueryRun, GraphError> {
-        let mut scratch = RunScratch::new(&self.compiled.graph);
-        let answer = self.run_lazy_into(query, db, &mut scratch)?;
-        Ok(QueryRun { answer, trace: scratch.to_trace(), context: scratch.partial().clone() })
-    }
-
-    /// [`run_lazy`](Self::run_lazy) into reusable buffers — the lazy
-    /// probing semantics with zero per-query allocation. The trace and
-    /// the partial context remain readable off the scratch.
-    ///
-    /// # Errors
-    /// As for [`run_lazy`](Self::run_lazy).
-    pub fn run_lazy_into(
-        &self,
-        query: &Atom,
-        db: &Database,
-        scratch: &mut RunScratch,
-    ) -> Result<QueryAnswer, GraphError> {
-        if !self.compiled.form.matches(query) {
-            return Err(GraphError::InvalidStrategy(
-                "query does not match compiled form (predicate/arity/binding mismatch)".to_string(),
-            ));
-        }
-        let constants = self.compiled.form.bound_constants(query);
-        let outcome = execute_probe_into(&self.compiled.graph, &self.strategy, scratch, |a| {
-            arc_blocked(self.compiled.binding(a), &constants, db)
-        });
-        Ok(match outcome {
-            RunOutcome::Succeeded(arc) => QueryAnswer::Yes(self.witness(arc, query, db)),
-            RunOutcome::Exhausted => QueryAnswer::No,
-        })
-    }
-
-    /// [`run_into`](Self::run_into) with telemetry: wraps the run in an
-    /// `engine.qp.run` wall-clock span and emits the finished trace's
-    /// `graph.run.*` counters plus an `engine.qp.queries` /
-    /// `engine.qp.yes_answers` tally. With a
-    /// [`NoopSink`](qpl_obs::NoopSink) this is `run_into` plus a few
-    /// dead branches — no clock reads, no allocation.
-    ///
-    /// # Errors
-    /// As for [`run`](Self::run).
-    pub fn run_into_observed(
-        &self,
-        query: &Atom,
-        db: &Database,
-        scratch: &mut RunScratch,
-        sink: &mut dyn qpl_obs::MetricsSink,
-    ) -> Result<QueryAnswer, GraphError> {
-        let timer = qpl_obs::SpanTimer::start(sink, "engine.qp.run");
-        let answer = self.run_into(query, db, scratch)?;
-        timer.finish(sink);
-        sink.counter("engine.qp.queries", 1);
-        if answer.is_yes() {
-            sink.counter("engine.qp.yes_answers", 1);
-        }
-        if sink.enabled() {
-            scratch.to_trace().emit_to(sink);
-        }
-        Ok(answer)
-    }
-
-    /// [`run_cost_cached`](Self::run_cost_cached) with telemetry: the
-    /// same memoized run wrapped in an `engine.qp.run_cached` span, with
-    /// `engine.qp.queries` tallied; cache hit/miss counters live on the
-    /// [`RunCache`] itself (emit them once per phase via
-    /// [`RunCache::emit_to`]).
-    ///
-    /// # Errors
-    /// As for [`run`](Self::run).
-    pub fn run_cost_cached_observed(
-        &self,
-        query: &Atom,
-        db: &Database,
-        cache: &mut RunCache,
-        scratch: &mut RunScratch,
-        sink: &mut dyn qpl_obs::MetricsSink,
-    ) -> Result<(QueryAnswer, f64), GraphError> {
-        let timer = qpl_obs::SpanTimer::start(sink, "engine.qp.run_cached");
-        let result = self.run_cost_cached(query, db, cache, scratch)?;
-        timer.finish(sink);
-        sink.counter("engine.qp.queries", 1);
-        if sink.enabled() {
-            sink.value("engine.qp.cost", result.1);
-        }
-        Ok(result)
+        Ok(self.answer(outcome, query, db))
     }
 
     /// [`run_into`](Self::run_into) memoized through a [`RunCache`]:
@@ -416,9 +318,8 @@ impl<'g> QueryProcessor<'g> {
     /// database updates stays correct and only repeated identical runs
     /// get cheaper.
     ///
-    /// On a cache miss the scratch holds the run's trace and partial
-    /// context as usual; on a hit the scratch is untouched and the cost
-    /// comes from the memo.
+    /// On a cache miss the scratch holds the run's trace as usual; on a
+    /// hit the scratch is untouched and the cost comes from the memo.
     ///
     /// # Errors
     /// As for [`run`](Self::run).
@@ -429,12 +330,7 @@ impl<'g> QueryProcessor<'g> {
         cache: &mut RunCache,
         scratch: &mut RunScratch,
     ) -> Result<(QueryAnswer, f64), GraphError> {
-        if !self.compiled.form.matches(query) {
-            return Err(GraphError::InvalidStrategy(
-                "query does not match compiled form (predicate/arity/binding mismatch)".to_string(),
-            ));
-        }
-        let key = self.compiled.form.bound_constants(query);
+        let key = bound_constants(self.compiled, query)?;
         // The fingerprint is cached on the strategy, so revalidation no
         // longer re-hashes the arc vector on every cached run.
         cache.revalidate_scoped(db, &self.footprint, self.strategy.fingerprint());
@@ -452,39 +348,6 @@ impl<'g> QueryProcessor<'g> {
         Ok((answer, cost))
     }
 
-    /// Classifies up to [`MAX_LANES`] queries into one [`ContextBatch`]
-    /// plane, lane `l` holding query `l`'s Note-2 context. `staging` is
-    /// a reusable scalar buffer. The batch is resized to exactly
-    /// `queries.len()` lanes (and the smallest plane width that fits
-    /// them).
-    ///
-    /// # Errors
-    /// [`GraphError::BatchShape`] if more than [`MAX_LANES`] queries are
-    /// given; [`GraphError::InvalidStrategy`] if any query does not
-    /// match the compiled form (the batch is left partially filled —
-    /// callers wanting per-query error isolation should classify with
-    /// [`classify_context_into`] themselves).
-    pub fn classify_batch_into(
-        &self,
-        queries: &[Atom],
-        db: &Database,
-        batch: &mut ContextBatch,
-        staging: &mut Context,
-    ) -> Result<(), GraphError> {
-        if queries.len() > MAX_LANES {
-            return Err(GraphError::BatchShape(format!(
-                "{} queries exceed the {MAX_LANES}-lane plane",
-                queries.len()
-            )));
-        }
-        batch.reset(self.compiled.graph.arc_count(), queries.len());
-        for (lane, query) in queries.iter().enumerate() {
-            classify_context_into(self.compiled, query, db, staging)?;
-            batch.set_lane(lane, staging);
-        }
-        Ok(())
-    }
-
     /// Executes one already-classified plane and appends each lane's
     /// `(answer, cost)` to `out`, in lane order. `queries` must be the
     /// same slice the plane was classified from (lane `l` ↔ query `l`);
@@ -493,7 +356,7 @@ impl<'g> QueryProcessor<'g> {
     /// Results are bit-identical to [`run_into`](Self::run_into) on each
     /// query separately: the program path inherits the batch executor's
     /// determinism contract, and the fallback path (a strategy that does
-    /// not lower) runs the interpreter per lane.
+    /// not lower) runs the interpreter per lane, probing the plane.
     ///
     /// # Errors
     /// [`GraphError::BatchShape`] if `queries` and the plane disagree on
@@ -525,56 +388,30 @@ impl<'g> QueryProcessor<'g> {
             Some(p) => {
                 execute_batch(p, batch, batch.active_mask(), run);
                 for (lane, query) in queries.iter().enumerate() {
-                    let answer = match run.outcome(lane) {
-                        RunOutcome::Succeeded(arc) => {
-                            QueryAnswer::Yes(self.witness(arc, query, db))
-                        }
-                        RunOutcome::Exhausted => QueryAnswer::No,
-                    };
-                    out.push((answer, run.cost(lane)));
+                    out.push((self.answer(run.outcome(lane), query, db), run.cost(lane)));
                 }
             }
             None => {
                 for (lane, query) in queries.iter().enumerate() {
-                    batch.extract_lane(lane, scratch.partial_mut());
-                    let outcome =
-                        execute_partial_into(&self.compiled.graph, &self.strategy, scratch);
-                    let answer = match outcome {
-                        RunOutcome::Succeeded(arc) => {
-                            QueryAnswer::Yes(self.witness(arc, query, db))
-                        }
-                        RunOutcome::Exhausted => QueryAnswer::No,
-                    };
-                    out.push((answer, scratch.cost()));
+                    let outcome = execute_probe_into::<false>(
+                        &self.compiled.graph,
+                        &self.strategy,
+                        scratch,
+                        |a| batch.is_blocked(lane, a),
+                    );
+                    out.push((self.answer(outcome, query, db), scratch.cost()));
                 }
             }
         }
         Ok(())
     }
 
-    /// Processes any number of queries through the bit-parallel batch
-    /// path, up to [`MAX_LANES`] at a time (each chunk gets the smallest
-    /// plane width that fits it): classify a chunk into `s.batch`,
-    /// execute the plane, append each `(answer, cost)` to `out` in
-    /// query order. `out` is cleared first. After return, `s` holds the
-    /// *last* chunk's plane and result planes.
-    ///
-    /// # Errors
-    /// As for [`classify_batch_into`](Self::classify_batch_into); `out`
-    /// keeps the chunks completed before the failing one.
-    pub fn run_batch_into(
-        &self,
-        queries: &[Atom],
-        db: &Database,
-        s: &mut BatchScratch,
-        out: &mut Vec<(QueryAnswer, f64)>,
-    ) -> Result<(), GraphError> {
-        out.clear();
-        for chunk in queries.chunks(MAX_LANES) {
-            self.classify_batch_into(chunk, db, &mut s.batch, &mut s.staging)?;
-            self.run_classified_batch(chunk, db, &s.batch, &mut s.run, &mut s.scratch, out)?;
+    /// The answer a run with `outcome` gives `query`.
+    fn answer(&self, outcome: RunOutcome, query: &Atom, db: &Database) -> QueryAnswer {
+        match outcome {
+            RunOutcome::Succeeded(arc) => QueryAnswer::Yes(self.witness(arc, query, db)),
+            RunOutcome::Exhausted => QueryAnswer::No,
         }
-        Ok(())
     }
 
     /// Reconstructs the witnessing ground atom for a successful
@@ -627,6 +464,25 @@ mod tests {
         let qf = parse_query_form(form, &mut t).unwrap();
         let cg = compile(&p.rules, &qf, &t, &CompileOptions::default()).unwrap();
         (t, cg, p.facts)
+    }
+
+    /// The served plane path: classify each query into its pool lane,
+    /// assemble the plane, execute it.
+    fn run_pool_plane(
+        qp: &QueryProcessor<'_>,
+        queries: &[Atom],
+        db: &Database,
+        s: &mut BatchScratch,
+        out: &mut Vec<(QueryAnswer, f64)>,
+    ) {
+        let g = &qp.compiled().graph;
+        for (lane, q) in queries.iter().enumerate() {
+            classify_context_into(qp.compiled(), q, db, s.pool_context(g, lane)).unwrap();
+        }
+        s.assemble_pool_plane(g.arc_count(), queries.len());
+        assert_eq!(s.batch().lanes(), queries.len());
+        let (batch, run, scratch) = s.plane_parts_mut();
+        qp.run_classified_batch(queries, db, batch, run, scratch, out).unwrap();
     }
 
     #[test]
@@ -791,84 +647,35 @@ mod tests {
     }
 
     #[test]
-    fn lazy_run_matches_eager_run() {
-        // Identical traces (events, cost, outcome) and answers on every
-        // Figure-1 query, for every enumerable strategy.
+    fn run_equals_classification_then_interpreter() {
+        // The reference every batch == scalar test leans on: for every
+        // enumerable Figure-1 strategy plus a relaxed strategy that does
+        // not lower to a program, the lazy `run` equals classifying the
+        // whole context and interpreting the strategy there — same trace
+        // (events, cost bits, outcome), and an answer that agrees with
+        // the outcome.
         let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
-        let strategies = qpl_graph::strategy::enumerate_all(&cg.graph, 100).unwrap();
-        for name in ["russ", "manolis", "fred"] {
+        let mut strategies = qpl_graph::strategy::enumerate_all(&cg.graph, 100).unwrap();
+        let arcs: Vec<ArcId> = cg.graph.arc_ids().collect();
+        strategies.push(
+            Strategy::from_arcs_relaxed(&cg.graph, vec![arcs[0], arcs[2], arcs[1], arcs[3]])
+                .unwrap(),
+        );
+        let mut saw_fallback = false;
+        for name in ["russ", "manolis", "fred", "ghost"] {
             let q = parse_query(&format!("instructor({name})"), &mut t).unwrap();
+            let ctx = classify_context(&cg, &q, &db).unwrap();
             for s in &strategies {
                 let qp = QueryProcessor::new(&cg, s.clone());
-                let eager = qp.run(&q, &db).unwrap();
-                let lazy = qp.run_lazy(&q, &db).unwrap();
-                assert_eq!(eager.trace, lazy.trace, "{name} via {}", s.display(&cg.graph));
-                assert_eq!(eager.answer, lazy.answer);
+                saw_fallback |= qp.program().is_none();
+                let run = qp.run(&q, &db).unwrap();
+                let reference = qpl_graph::context::execute(&cg.graph, s, &ctx);
+                assert_eq!(run.trace, reference, "{name} via {}", s.display(&cg.graph));
+                assert_eq!(run.trace.cost.to_bits(), reference.cost.to_bits());
+                assert_eq!(run.answer, qp.answer(reference.outcome, &q, &db));
             }
         }
-    }
-
-    #[test]
-    fn lazy_run_touches_only_attempted_arcs() {
-        // instructor(russ) with prof-first: success on the first path —
-        // the lazy context must not have probed the grad retrieval (it
-        // reads as open regardless of the database).
-        let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
-        let qp = QueryProcessor::left_to_right(&cg);
-        let q = parse_query("instructor(russ)", &mut t).unwrap();
-        let lazy = qp.run_lazy(&q, &db).unwrap();
-        assert_eq!(lazy.trace.events.len(), 2);
-        let grad_retrieval =
-            cg.graph.retrievals().find(|&a| cg.graph.arc(a).label.contains("grad")).unwrap();
-        assert!(!lazy.context.is_blocked(grad_retrieval), "never probed → left open");
-        // The eager run, by contrast, classifies everything: grad(russ)
-        // is absent so the arc is blocked there.
-        let eager = qp.run(&q, &db).unwrap();
-        assert!(eager.context.is_blocked(grad_retrieval));
-    }
-
-    #[test]
-    fn observed_run_is_identical_to_plain_run() {
-        let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
-        let qp = QueryProcessor::left_to_right(&cg);
-        let mut sink = qpl_obs::MemorySink::new();
-        for name in ["russ", "manolis", "fred"] {
-            let q = parse_query(&format!("instructor({name})"), &mut t).unwrap();
-            let mut s1 = RunScratch::new(&cg.graph);
-            let mut s2 = RunScratch::new(&cg.graph);
-            let plain = qp.run_into(&q, &db, &mut s1).unwrap();
-            let observed = qp.run_into_observed(&q, &db, &mut s2, &mut sink).unwrap();
-            assert_eq!(plain, observed, "telemetry must not change answers");
-            assert_eq!(s1.to_trace(), s2.to_trace(), "telemetry must not change traces");
-        }
-        assert_eq!(sink.counter_total("engine.qp.queries"), 3);
-        assert_eq!(sink.counter_total("engine.qp.yes_answers"), 2);
-        assert_eq!(sink.span_stats("engine.qp.run").unwrap().count, 3);
-        // russ: 2 arcs; manolis: 4; fred: 4.
-        assert_eq!(sink.counter_total("graph.run.arcs_attempted"), 10);
-        assert_eq!(sink.counter_total("graph.run.succeeded"), 2);
-        assert_eq!(sink.counter_total("graph.run.exhausted"), 1);
-    }
-
-    #[test]
-    fn observed_cached_run_reports_costs() {
-        let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
-        let qp = QueryProcessor::left_to_right(&cg);
-        let mut cache = RunCache::new();
-        let mut scratch = RunScratch::new(&cg.graph);
-        let mut sink = qpl_obs::MemorySink::new();
-        let q = parse_query("instructor(manolis)", &mut t).unwrap();
-        for _ in 0..3 {
-            let (answer, cost) =
-                qp.run_cost_cached_observed(&q, &db, &mut cache, &mut scratch, &mut sink).unwrap();
-            assert!(answer.is_yes());
-            assert_eq!(cost, 4.0);
-        }
-        cache.emit_to(&mut sink);
-        assert_eq!(sink.counter_total("engine.qp.queries"), 3);
-        assert_eq!(sink.value_stats("engine.qp.cost").unwrap().sum, 12.0);
-        assert_eq!(sink.counter_total("engine.run_cache.hits"), 2);
-        assert_eq!(sink.counter_total("engine.run_cache.misses"), 1);
+        assert!(saw_fallback, "no strategy exercised the interpreter fallback");
     }
 
     #[test]
@@ -897,7 +704,7 @@ mod tests {
             saw_fallback |= qp.program().is_none();
             let mut bs = BatchScratch::new(&cg.graph);
             let mut out = Vec::new();
-            qp.run_batch_into(&queries, &db, &mut bs, &mut out).unwrap();
+            run_pool_plane(&qp, &queries, &db, &mut bs, &mut out);
             assert_eq!(out.len(), queries.len());
             let mut scratch = RunScratch::new(&cg.graph);
             for (q, (answer, cost)) in queries.iter().zip(&out) {
@@ -916,89 +723,24 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_into_chunks_past_one_plane() {
-        let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
-        let qp = QueryProcessor::left_to_right(&cg);
-        let base = ["russ", "manolis", "fred"];
-        let queries: Vec<Atom> = (0..600)
-            .map(|i| parse_query(&format!("instructor({})", base[i % 3]), &mut t).unwrap())
-            .collect();
-        let mut bs = BatchScratch::new(&cg.graph);
-        let mut out = Vec::new();
-        qp.run_batch_into(&queries, &db, &mut bs, &mut out).unwrap();
-        assert_eq!(out.len(), 600);
-        // Last chunk: 600 = 512 + 88 lanes (width 2).
-        assert_eq!(bs.batch().lanes(), 88);
-        assert_eq!(bs.batch().width(), 2);
-        let mut scratch = RunScratch::new(&cg.graph);
-        for (q, (answer, cost)) in queries.iter().zip(&out) {
-            let scalar = qp.run_into(q, &db, &mut scratch).unwrap();
-            assert_eq!(answer, &scalar);
-            assert_eq!(cost.to_bits(), scratch.cost().to_bits());
-        }
-    }
-
-    #[test]
-    fn pool_assembly_matches_whole_plane_classification() {
-        let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
-        let qp = QueryProcessor::left_to_right(&cg);
-        let base = ["russ", "manolis", "fred", "ben"];
-        let queries: Vec<Atom> = (0..7)
-            .map(|i| parse_query(&format!("instructor({})", base[i % 4]), &mut t).unwrap())
-            .collect();
-
-        // Reference: the all-or-nothing whole-plane path.
-        let mut whole = BatchScratch::new(&cg.graph);
-        let mut expected = Vec::new();
-        qp.classify_batch_into(&queries, &db, &mut whole.batch, &mut whole.staging).unwrap();
-        qp.run_classified_batch(
-            &queries,
-            &db,
-            &whole.batch,
-            &mut whole.run,
-            &mut whole.scratch,
-            &mut expected,
-        )
-        .unwrap();
-
-        // Lane-at-a-time pool assembly (the serving shard's path).
-        let mut s = BatchScratch::new(&cg.graph);
-        for (lane, q) in queries.iter().enumerate() {
-            classify_context_into(&cg, q, &db, s.pool_context(&cg.graph, lane)).unwrap();
-        }
-        s.assemble_pool_plane(cg.graph.arc_count(), queries.len());
-        let mut out = Vec::new();
-        let (batch, run, scratch) = s.plane_parts_mut();
-        qp.run_classified_batch(&queries, &db, batch, run, scratch, &mut out).unwrap();
-
-        assert_eq!(out.len(), expected.len());
-        for ((a, c), (ea, ec)) in out.iter().zip(&expected) {
-            assert_eq!(a, ea);
-            assert_eq!(c.to_bits(), ec.to_bits(), "pool path is bit-identical");
-        }
-        // The assembled plane is what an adaptation loop would observe.
-        assert_eq!(s.batch().lanes(), queries.len());
-    }
-
-    #[test]
     fn batch_shape_errors_are_typed() {
         let (mut t, cg, db) = setup(FIGURE1, "instructor(b)");
         let qp = QueryProcessor::left_to_right(&cg);
         let q = parse_query("instructor(russ)", &mut t).unwrap();
-        let queries = vec![q; MAX_LANES + 1];
-        let mut batch = qpl_graph::batch::ContextBatch::new(cg.graph.arc_count(), 1);
-        let mut staging = Context::all_open(&cg.graph);
-        assert!(matches!(
-            qp.classify_batch_into(&queries, &db, &mut batch, &mut staging),
-            Err(GraphError::BatchShape(_))
-        ));
-        // Lane-count mismatch between queries and plane.
-        qp.classify_batch_into(&queries[..3], &db, &mut batch, &mut staging).unwrap();
+        let queries = vec![q; 3];
+        let batch = qpl_graph::batch::ContextBatch::new(cg.graph.arc_count(), 3);
         let mut run = qpl_graph::batch::BatchRun::new();
         let mut scratch = RunScratch::new(&cg.graph);
         let mut out = Vec::new();
+        // Lane-count mismatch between queries and plane.
         assert!(matches!(
             qp.run_classified_batch(&queries[..2], &db, &batch, &mut run, &mut scratch, &mut out),
+            Err(GraphError::BatchShape(_))
+        ));
+        // A plane built for a different graph.
+        let other = qpl_graph::batch::ContextBatch::new(cg.graph.arc_count() + 1, 3);
+        assert!(matches!(
+            qp.run_classified_batch(&queries, &db, &other, &mut run, &mut scratch, &mut out),
             Err(GraphError::BatchShape(_))
         ));
     }

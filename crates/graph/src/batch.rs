@@ -696,27 +696,6 @@ pub fn try_execute_batch(
     Ok(execute_batch(p, batch, active, run))
 }
 
-/// [`execute_batch`] plus `graph.batch.*` telemetry: executions, lanes
-/// run, lanes succeeded/exhausted, and the plane width executed.
-pub fn execute_batch_observed(
-    p: &StrategyProgram,
-    batch: &ContextBatch,
-    active: LaneMask,
-    run: &mut BatchRun,
-    sink: &mut dyn qpl_obs::MetricsSink,
-) -> LaneMask {
-    let succeeded = execute_batch(p, batch, active, run);
-    sink.counter("graph.batch.executions", 1);
-    sink.counter("graph.batch.lanes", u64::from(run.active_in.count_ones()));
-    sink.counter("graph.batch.succeeded", u64::from(succeeded.count_ones()));
-    sink.counter(
-        "graph.batch.exhausted",
-        u64::from(run.active_in.count_ones() - succeeded.count_ones()),
-    );
-    sink.value("graph.batch.width", batch.width() as f64);
-    succeeded
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,25 +924,6 @@ mod tests {
                 assert_eq!(lane_completed, scalar_completed, "seed {seed} lane {lane}");
             }
         }
-    }
-
-    #[test]
-    fn observed_variant_emits_batch_counters() {
-        let (g, _) = lcg_tree(2);
-        let s = Strategy::left_to_right(&g);
-        let p = StrategyProgram::compile(&g, &s).unwrap();
-        let (batch, _) = fill_batch(&g, 9, 64);
-        let mut run = BatchRun::new();
-        let mut sink = qpl_obs::MemorySink::new();
-        let succeeded = execute_batch_observed(&p, &batch, LaneMask::ALL, &mut run, &mut sink);
-        assert_eq!(sink.counter_total("graph.batch.executions"), 1);
-        assert_eq!(sink.counter_total("graph.batch.lanes"), 64);
-        assert_eq!(sink.counter_total("graph.batch.succeeded"), u64::from(succeeded.count_ones()));
-        assert_eq!(
-            sink.counter_total("graph.batch.succeeded")
-                + sink.counter_total("graph.batch.exhausted"),
-            64
-        );
     }
 
     proptest::proptest! {

@@ -144,30 +144,13 @@ impl Trace {
     pub fn attempted(&self, a: ArcId) -> bool {
         self.outcome_of(a).is_some()
     }
-
-    /// Emit this run's telemetry into a
-    /// [`MetricsSink`](qpl_obs::MetricsSink) under the `graph.run.*`
-    /// namespace: arcs attempted/traversed/blocked, the run cost, and
-    /// which terminal outcome was hit. Execution itself never touches a
-    /// sink; callers observe finished traces.
-    pub fn emit_to(&self, sink: &mut dyn qpl_obs::MetricsSink) {
-        let blocked = self.events.iter().filter(|(_, o)| *o == ArcOutcome::Blocked).count() as u64;
-        sink.counter("graph.run.arcs_attempted", self.events.len() as u64);
-        sink.counter("graph.run.arcs_blocked", blocked);
-        sink.counter("graph.run.arcs_traversed", self.events.len() as u64 - blocked);
-        sink.value("graph.run.cost", self.cost);
-        match self.outcome {
-            RunOutcome::Succeeded(_) => sink.counter("graph.run.succeeded", 1),
-            RunOutcome::Exhausted => sink.counter("graph.run.exhausted", 1),
-        }
-    }
 }
 
-/// Reusable per-run buffers: the reached-node bitvec, the event buffer,
-/// and a partial [`Context`] for probe-driven (lazy) runs.
+/// Reusable per-run buffers: the reached-node bitvec and the event
+/// buffer.
 ///
-/// [`execute`] allocates these three afresh on every call, which is fine
-/// for one-off runs but dominates tight Monte-Carlo loops (PIB absorbs a
+/// [`execute`] allocates these afresh on every call, which is fine for
+/// one-off runs but dominates tight Monte-Carlo loops (PIB absorbs a
 /// context, then replays every candidate strategy against its pessimistic
 /// completion — thousands of executions per second, each a `Vec::new()`
 /// under the old API). Holding one `RunScratch` per loop and calling
@@ -182,42 +165,22 @@ pub struct RunScratch {
     pub(crate) events: Vec<(ArcId, ArcOutcome)>,
     pub(crate) cost: f64,
     pub(crate) outcome: RunOutcome,
-    pub(crate) partial: Context,
 }
 
 impl RunScratch {
-    /// Buffers sized for `g`. The partial context starts empty and is
-    /// sized on first probe-driven use.
+    /// Buffers sized for `g`.
     pub fn new(g: &InferenceGraph) -> Self {
         Self {
             reached: vec![false; g.node_count()],
             events: Vec::with_capacity(g.arc_count()),
             cost: 0.0,
             outcome: RunOutcome::Exhausted,
-            partial: Context::from_parts(Vec::new()),
         }
     }
 
-    /// Clears the run state (keeps allocations).
-    fn begin(&mut self, g: &InferenceGraph) {
-        self.reached.clear();
-        self.reached.resize(g.node_count(), false);
-        self.reached[g.root().index()] = true;
-        self.events.clear();
-        self.cost = 0.0;
-        self.outcome = RunOutcome::Exhausted;
-    }
-
-    /// Resets the partial context to all-open, resizing for `g`.
-    fn begin_partial(&mut self, g: &InferenceGraph) {
-        self.partial.blocked.clear();
-        self.partial.blocked.resize(g.arc_count(), false);
-    }
-
-    /// Clears the run state for a program execution (same reset as
-    /// [`begin`](Self::begin), but sized from program metadata so the
-    /// executor needs no graph reference).
-    pub(crate) fn begin_sized(&mut self, node_count: usize, root: usize) {
+    /// Clears the run state (keeps allocations), sized from node count
+    /// and root index so the program executor needs no graph reference.
+    pub(crate) fn begin(&mut self, node_count: usize, root: usize) {
         self.reached.clear();
         self.reached.resize(node_count, false);
         self.reached[root] = true;
@@ -226,7 +189,8 @@ impl RunScratch {
         self.outcome = RunOutcome::Exhausted;
     }
 
-    /// Events of the most recent run, in attempt order.
+    /// Events of the most recent run, in attempt order (empty after a
+    /// cost-only run).
     pub fn events(&self) -> &[(ArcId, ArcOutcome)] {
         &self.events
     }
@@ -241,19 +205,6 @@ impl RunScratch {
         self.outcome
     }
 
-    /// The partial context recorded by the most recent probe-driven run
-    /// ([`execute_probe_into`]): probed arcs carry their observed status,
-    /// unprobed arcs read as open.
-    pub fn partial(&self) -> &Context {
-        &self.partial
-    }
-
-    /// Mutable access to the partial context, for callers that classify
-    /// a full context into the buffer before [`execute_partial_into`].
-    pub fn partial_mut(&mut self) -> &mut Context {
-        &mut self.partial
-    }
-
     /// Materializes the most recent run as an owned [`Trace`] (clones the
     /// event buffer; the scratch stays reusable).
     pub fn to_trace(&self) -> Trace {
@@ -265,6 +216,54 @@ impl RunScratch {
     fn take_trace(&mut self) -> Trace {
         Trace { events: std::mem::take(&mut self.events), cost: self.cost, outcome: self.outcome }
     }
+}
+
+/// The interpreter: runs `strategy` arc by arc, asking `probe` whether
+/// each *attempted* arc is blocked — exactly once per attempt, in
+/// attempt order, and never for an arc the run skips. An eager caller
+/// probes a classified [`Context`]; a lazy caller probes the database
+/// itself, so a query answered on its first path costs one probe per
+/// arc of that path.
+///
+/// `EVENTS` selects whether the per-arc trace is recorded; the
+/// cost-only instantiation (`false`) compiles the event pushes away.
+/// Cost and outcome are recorded either way, with the same additions in
+/// the same order, so both instantiations agree to the bit.
+///
+/// This loop accepts every strategy on every graph (relaxed sequences,
+/// DAGs), and is the reference the compiled
+/// [`StrategyProgram`](crate::program::StrategyProgram) executor is
+/// property-tested against.
+#[inline]
+pub fn execute_probe_into<const EVENTS: bool>(
+    g: &InferenceGraph,
+    strategy: &crate::strategy::Strategy,
+    scratch: &mut RunScratch,
+    mut probe: impl FnMut(ArcId) -> bool,
+) -> RunOutcome {
+    scratch.begin(g.node_count(), g.root().index());
+    for &a in strategy.arcs() {
+        let arc = g.arc(a);
+        if !scratch.reached[arc.from.index()] {
+            continue; // below a blocked arc: skipped at no cost
+        }
+        scratch.cost += arc.cost;
+        if probe(a) {
+            if EVENTS {
+                scratch.events.push((a, ArcOutcome::Blocked));
+            }
+            continue;
+        }
+        if EVENTS {
+            scratch.events.push((a, ArcOutcome::Traversed));
+        }
+        scratch.reached[arc.to.index()] = true;
+        if g.node(arc.to).is_success {
+            scratch.outcome = RunOutcome::Succeeded(a);
+            return scratch.outcome;
+        }
+    }
+    scratch.outcome
 }
 
 /// Executes `strategy` in `context`, returning the full [`Trace`].
@@ -294,98 +293,7 @@ pub fn execute_into(
     scratch: &mut RunScratch,
 ) -> RunOutcome {
     assert_eq!(context.arc_count(), g.arc_count(), "context built for a different graph");
-    scratch.begin(g);
-    for &a in strategy.arcs() {
-        let arc = g.arc(a);
-        if !scratch.reached[arc.from.index()] {
-            continue; // below a blocked arc: skipped at no cost
-        }
-        scratch.cost += arc.cost;
-        if context.is_blocked(a) {
-            scratch.events.push((a, ArcOutcome::Blocked));
-            continue;
-        }
-        scratch.events.push((a, ArcOutcome::Traversed));
-        scratch.reached[arc.to.index()] = true;
-        if g.node(arc.to).is_success {
-            scratch.outcome = RunOutcome::Succeeded(a);
-            return scratch.outcome;
-        }
-    }
-    scratch.outcome
-}
-
-/// Executes `strategy`, reading arc statuses from the scratch's own
-/// partial context (filled beforehand via [`RunScratch::partial_mut`]).
-/// Lets a caller classify into the buffer and execute without a borrow
-/// conflict between context and scratch.
-///
-/// # Panics
-/// Panics if the partial context's arc count does not match `g`.
-pub fn execute_partial_into(
-    g: &InferenceGraph,
-    strategy: &crate::strategy::Strategy,
-    scratch: &mut RunScratch,
-) -> RunOutcome {
-    assert_eq!(
-        scratch.partial.arc_count(),
-        g.arc_count(),
-        "partial context not sized for this graph"
-    );
-    scratch.begin(g);
-    for &a in strategy.arcs() {
-        let arc = g.arc(a);
-        if !scratch.reached[arc.from.index()] {
-            continue;
-        }
-        scratch.cost += arc.cost;
-        if scratch.partial.is_blocked(a) {
-            scratch.events.push((a, ArcOutcome::Blocked));
-            continue;
-        }
-        scratch.events.push((a, ArcOutcome::Traversed));
-        scratch.reached[arc.to.index()] = true;
-        if g.node(arc.to).is_success {
-            scratch.outcome = RunOutcome::Succeeded(a);
-            return scratch.outcome;
-        }
-    }
-    scratch.outcome
-}
-
-/// Probe-driven execution: arc statuses are discovered by calling
-/// `probe` only when the strategy actually attempts the arc (the lazy
-/// real-deployment path — one database probe per attempted arc). The
-/// observed statuses are recorded into the scratch's partial context;
-/// unattempted arcs read as open there.
-pub fn execute_probe_into(
-    g: &InferenceGraph,
-    strategy: &crate::strategy::Strategy,
-    scratch: &mut RunScratch,
-    mut probe: impl FnMut(ArcId) -> bool,
-) -> RunOutcome {
-    scratch.begin(g);
-    scratch.begin_partial(g);
-    for &a in strategy.arcs() {
-        let arc = g.arc(a);
-        if !scratch.reached[arc.from.index()] {
-            continue;
-        }
-        scratch.cost += arc.cost;
-        let blocked = probe(a);
-        scratch.partial.set_blocked(a, blocked);
-        if blocked {
-            scratch.events.push((a, ArcOutcome::Blocked));
-            continue;
-        }
-        scratch.events.push((a, ArcOutcome::Traversed));
-        scratch.reached[arc.to.index()] = true;
-        if g.node(arc.to).is_success {
-            scratch.outcome = RunOutcome::Succeeded(a);
-            return scratch.outcome;
-        }
-    }
-    scratch.outcome
+    execute_probe_into::<true>(g, strategy, scratch, |a| context.is_blocked(a))
 }
 
 /// Cost-only execution into reusable buffers: no event recording at all,
@@ -402,21 +310,7 @@ pub fn cost_into(
     scratch: &mut RunScratch,
 ) -> f64 {
     assert_eq!(context.arc_count(), g.arc_count(), "context built for a different graph");
-    scratch.begin(g);
-    for &a in strategy.arcs() {
-        let arc = g.arc(a);
-        if !scratch.reached[arc.from.index()] {
-            continue;
-        }
-        scratch.cost += arc.cost;
-        if context.is_blocked(a) {
-            continue;
-        }
-        scratch.reached[arc.to.index()] = true;
-        if g.node(arc.to).is_success {
-            return scratch.cost;
-        }
-    }
+    execute_probe_into::<false>(g, strategy, scratch, |a| context.is_blocked(a));
     scratch.cost
 }
 
@@ -594,37 +488,6 @@ mod tests {
                 assert_eq!(c.to_bits(), reference.cost.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn probe_execution_matches_eager_and_records_partial() {
-        let g = g_a();
-        let t1 = strat(&g, &["R_p", "D_p", "R_g", "D_g"]);
-        let ctx = i1(&g);
-        let mut scratch = RunScratch::new(&g);
-        let mut probes = 0usize;
-        execute_probe_into(&g, &t1, &mut scratch, |a| {
-            probes += 1;
-            ctx.is_blocked(a)
-        });
-        let eager = execute(&g, &t1, &ctx);
-        assert_eq!(scratch.to_trace(), eager);
-        assert_eq!(probes, eager.events.len(), "one probe per attempted arc");
-        // Attempted arcs carry their status in the partial context.
-        for &(a, o) in &eager.events {
-            assert_eq!(scratch.partial().is_blocked(a), o == ArcOutcome::Blocked);
-        }
-    }
-
-    #[test]
-    fn partial_execution_reads_own_buffer() {
-        let g = g_a();
-        let t1 = strat(&g, &["R_p", "D_p", "R_g", "D_g"]);
-        let ctx = i2(&g);
-        let mut scratch = RunScratch::new(&g);
-        *scratch.partial_mut() = ctx.clone();
-        execute_partial_into(&g, &t1, &mut scratch);
-        assert_eq!(scratch.to_trace(), execute(&g, &t1, &ctx));
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod strategy;
 pub(crate) mod testgen;
 
 pub use batch::{
-    execute_batch, execute_batch_observed, lanes_from, tail_mask, try_execute_batch,
-    width_for_lanes, BatchRun, ContextBatch, LaneMask, LANES, MAX_LANES, MAX_WIDTH,
+    execute_batch, lanes_from, tail_mask, try_execute_batch, width_for_lanes, BatchRun,
+    ContextBatch, LaneMask, LANES, MAX_LANES, MAX_WIDTH,
 };
 pub use context::{ArcOutcome, Context, RunOutcome, RunScratch, Trace};
 pub use error::GraphError;
@@ -60,7 +60,7 @@ pub use graph::{ArcData, ArcId, ArcKind, GraphBuilder, InferenceGraph, NodeData,
 pub use incremental::CostEvaluator;
 pub use pessimistic::pessimistic_completion;
 pub use program::{
-    execute_program_into, execute_program_partial_into, program_cost_into, Instr, StrategyProgram,
+    execute_program_into, execute_program_probe_into, program_cost_into, Instr, StrategyProgram,
     NO_INDEX,
 };
 pub use strategy::Strategy;

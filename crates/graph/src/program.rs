@@ -1,6 +1,6 @@
 //! Flat jump-threaded strategy programs.
 //!
-//! The satisficing interpreter ([`crate::context::execute_into`]) walks a
+//! The satisficing interpreter ([`crate::context::execute_probe_into`]) walks a
 //! `Strategy` arc-by-arc, re-checking `reached[from]` for every arc —
 //! including the whole tail of a path whose head was blocked. Because a
 //! validated path-form strategy on a *tree* has a rigid control-flow
@@ -162,21 +162,22 @@ impl StrategyProgram {
     }
 }
 
-/// Executes a compiled program against `context`, writing the trace into
-/// `scratch` exactly as [`crate::context::execute_into`] would for the
-/// source strategy: bit-identical cost, identical events, identical
-/// outcome.
+/// The jump-threaded executor: runs `p`, asking `probe` whether each
+/// *attempted* arc is blocked — the same probe contract as the
+/// interpreter ([`crate::context::execute_probe_into`]): exactly once per
+/// attempt, in attempt order, never for a skipped arc. Trace, cost and
+/// outcome are bit-identical to the interpreter on the source strategy
+/// (same cost additions in the same order).
 ///
-/// # Panics
-/// Panics if `context` was built for a different graph (arc-count
-/// mismatch).
-pub fn execute_program_into(
+/// `EVENTS` selects whether the per-arc trace is recorded; the cost-only
+/// instantiation compiles the event pushes away.
+#[inline]
+pub fn execute_program_probe_into<const EVENTS: bool>(
     p: &StrategyProgram,
-    context: &Context,
     scratch: &mut RunScratch,
+    mut probe: impl FnMut(ArcId) -> bool,
 ) -> RunOutcome {
-    assert_eq!(context.arc_count(), p.arc_count, "context built for a different graph");
-    scratch.begin_sized(p.node_count, p.root as usize);
+    scratch.begin(p.node_count, p.root as usize);
     let mut pc = 0usize;
     while pc < p.instrs.len() {
         let i = &p.instrs[pc];
@@ -185,12 +186,16 @@ pub fn execute_program_into(
             continue;
         }
         scratch.cost += i.cost;
-        if context.blocked[i.arc as usize] {
-            scratch.events.push((ArcId(i.arc), ArcOutcome::Blocked));
+        if probe(ArcId(i.arc)) {
+            if EVENTS {
+                scratch.events.push((ArcId(i.arc), ArcOutcome::Blocked));
+            }
             pc = i.fail_jump as usize; // rest of the path can never be reached
             continue;
         }
-        scratch.events.push((ArcId(i.arc), ArcOutcome::Traversed));
+        if EVENTS {
+            scratch.events.push((ArcId(i.arc), ArcOutcome::Traversed));
+        }
         scratch.reached[i.to as usize] = true;
         if i.success {
             scratch.outcome = RunOutcome::Succeeded(ArcId(i.arc));
@@ -201,49 +206,20 @@ pub fn execute_program_into(
     scratch.outcome
 }
 
-/// [`execute_program_into`] reading arc statuses from the scratch's own
-/// partial context (the program counterpart of
-/// [`crate::context::execute_partial_into`]).
+/// Executes a compiled program against `context`, writing the trace into
+/// `scratch` exactly as [`crate::context::execute_into`] would for the
+/// source strategy.
 ///
 /// # Panics
-/// Panics if the partial context's arc count does not match the program.
-pub fn execute_program_partial_into(p: &StrategyProgram, scratch: &mut RunScratch) -> RunOutcome {
-    assert_eq!(
-        scratch.partial.arc_count(),
-        p.arc_count,
-        "partial context not sized for this graph"
-    );
-    // Split borrow: the partial context is read-only while the run state
-    // is written, mirroring the interpreter's layout.
-    let RunScratch { reached, events, cost, outcome, partial } = scratch;
-    reached.clear();
-    reached.resize(p.node_count, false);
-    reached[p.root as usize] = true;
-    events.clear();
-    *cost = 0.0;
-    *outcome = RunOutcome::Exhausted;
-    let mut pc = 0usize;
-    while pc < p.instrs.len() {
-        let i = &p.instrs[pc];
-        if i.guard != NO_INDEX && !reached[i.guard as usize] {
-            pc = i.fail_jump as usize;
-            continue;
-        }
-        *cost += i.cost;
-        if partial.blocked[i.arc as usize] {
-            events.push((ArcId(i.arc), ArcOutcome::Blocked));
-            pc = i.fail_jump as usize;
-            continue;
-        }
-        events.push((ArcId(i.arc), ArcOutcome::Traversed));
-        reached[i.to as usize] = true;
-        if i.success {
-            *outcome = RunOutcome::Succeeded(ArcId(i.arc));
-            return *outcome;
-        }
-        pc += 1;
-    }
-    *outcome
+/// Panics if `context` was built for a different graph (arc-count
+/// mismatch).
+pub fn execute_program_into(
+    p: &StrategyProgram,
+    context: &Context,
+    scratch: &mut RunScratch,
+) -> RunOutcome {
+    assert_eq!(context.arc_count(), p.arc_count, "context built for a different graph");
+    execute_program_probe_into::<true>(p, scratch, |a| context.blocked[a.index()])
 }
 
 /// Cost-only program execution — the program counterpart of
@@ -254,32 +230,14 @@ pub fn execute_program_partial_into(p: &StrategyProgram, scratch: &mut RunScratc
 /// Panics if `context` was built for a different graph.
 pub fn program_cost_into(p: &StrategyProgram, context: &Context, scratch: &mut RunScratch) -> f64 {
     assert_eq!(context.arc_count(), p.arc_count, "context built for a different graph");
-    scratch.begin_sized(p.node_count, p.root as usize);
-    let mut pc = 0usize;
-    while pc < p.instrs.len() {
-        let i = &p.instrs[pc];
-        if i.guard != NO_INDEX && !scratch.reached[i.guard as usize] {
-            pc = i.fail_jump as usize;
-            continue;
-        }
-        scratch.cost += i.cost;
-        if context.blocked[i.arc as usize] {
-            pc = i.fail_jump as usize;
-            continue;
-        }
-        scratch.reached[i.to as usize] = true;
-        if i.success {
-            return scratch.cost;
-        }
-        pc += 1;
-    }
+    execute_program_probe_into::<false>(p, scratch, |a| context.blocked[a.index()]);
     scratch.cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{cost_into, execute, execute_into};
+    use crate::context::{cost_into, execute, execute_into, execute_probe_into};
     use crate::graph::GraphBuilder;
     use crate::testgen::{lcg_context, lcg_strategy, lcg_tree};
 
@@ -335,24 +293,6 @@ mod tests {
                 let cp = program_cost_into(&p, &ctx, &mut scratch_p);
                 assert_eq!(ci.to_bits(), cp.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn partial_variant_matches_context_variant() {
-        let g = g_b();
-        let s = Strategy::left_to_right(&g);
-        let p = StrategyProgram::compile(&g, &s).unwrap();
-        let mut scratch = RunScratch::new(&g);
-        let mut scratch_partial = RunScratch::new(&g);
-        for mask in 0u32..1024 {
-            let ctx = Context::from_fn(&g, |a| mask & (1 << a.index()) != 0);
-            execute_program_into(&p, &ctx, &mut scratch);
-            scratch_partial.partial_mut().copy_from(&ctx);
-            execute_program_partial_into(&p, &mut scratch_partial);
-            assert_eq!(scratch.events(), scratch_partial.events());
-            assert_eq!(scratch.cost().to_bits(), scratch_partial.cost().to_bits());
-            assert_eq!(scratch.outcome(), scratch_partial.outcome());
         }
     }
 
@@ -435,6 +375,52 @@ mod tests {
             let ci = cost_into(&g, &s, &ctx, &mut si);
             let cp = program_cost_into(&p, &ctx, &mut sp);
             proptest::prop_assert_eq!(ci.to_bits(), cp.to_bits());
+        }
+
+        /// The probe contract, for both loops and both `EVENTS`
+        /// instantiations: the probe is called exactly once per attempted
+        /// arc, in event order, and never for an unattempted arc; the
+        /// probe-driven trace is bit-identical to `execute` on the full
+        /// context.
+        #[test]
+        fn probes_exactly_the_attempted_arcs_in_event_order(
+            seed in 0u64..3_000,
+            strat_seed in 0u64..64,
+            ctx_seed in 0u64..64,
+        ) {
+            let (g, _) = lcg_tree(seed);
+            let s = lcg_strategy(&g, strat_seed);
+            let p = StrategyProgram::compile(&g, &s).unwrap();
+            let ctx = lcg_context(&g, ctx_seed);
+            let reference = execute(&g, &s, &ctx);
+            let attempted: Vec<ArcId> = reference.events.iter().map(|(a, _)| *a).collect();
+            let mut scratch = RunScratch::new(&g);
+            let probed = std::cell::RefCell::new(Vec::new());
+            let probe = |a: ArcId| {
+                probed.borrow_mut().push(a);
+                ctx.is_blocked(a)
+            };
+
+            let outcome = execute_probe_into::<true>(&g, &s, &mut scratch, &probe);
+            proptest::prop_assert_eq!(scratch.to_trace(), reference.clone());
+            proptest::prop_assert_eq!(outcome, reference.outcome);
+            proptest::prop_assert_eq!(probed.take(), attempted.clone());
+
+            let outcome = execute_program_probe_into::<true>(&p, &mut scratch, &probe);
+            proptest::prop_assert_eq!(scratch.to_trace(), reference.clone());
+            proptest::prop_assert_eq!(outcome, reference.outcome);
+            proptest::prop_assert_eq!(probed.take(), attempted.clone());
+
+            execute_probe_into::<false>(&g, &s, &mut scratch, &probe);
+            proptest::prop_assert_eq!(scratch.cost().to_bits(), reference.cost.to_bits());
+            proptest::prop_assert_eq!(scratch.outcome(), reference.outcome);
+            proptest::prop_assert!(scratch.events().is_empty());
+            proptest::prop_assert_eq!(probed.take(), attempted.clone());
+
+            execute_program_probe_into::<false>(&p, &mut scratch, &probe);
+            proptest::prop_assert_eq!(scratch.cost().to_bits(), reference.cost.to_bits());
+            proptest::prop_assert_eq!(scratch.outcome(), reference.outcome);
+            proptest::prop_assert_eq!(probed.take(), attempted);
         }
 
         /// The allocating reference (`execute`) also agrees — guards the

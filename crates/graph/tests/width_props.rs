@@ -1,9 +1,8 @@
 //! Property tests for the width-generic bit-parallel executor: at every
 //! plane width W ∈ {1, 2, 4, 8}, a W×64-lane batch must behave exactly
 //! like that many independent scalar program runs — bit-identical costs,
-//! identical outcomes, identical per-arc event sequences, and identical
-//! metrics-observed results. Width is a storage layout choice, never a
-//! semantic one.
+//! identical outcomes, and identical per-arc event sequences. Width is a
+//! storage layout choice, never a semantic one.
 //!
 //! The W=1 case doubles as the regression anchor for the pre-refactor
 //! single-`u64` plane path: the same mask-derived corpus that
@@ -12,14 +11,12 @@
 
 use proptest::prelude::*;
 use qpl_graph::batch::{
-    execute_batch, execute_batch_observed, tail_mask, width_for_lanes, BatchRun, ContextBatch,
-    LaneMask, LANES, MAX_LANES,
+    execute_batch, tail_mask, width_for_lanes, BatchRun, ContextBatch, LaneMask, LANES, MAX_LANES,
 };
 use qpl_graph::context::{Context, RunScratch};
 use qpl_graph::graph::GraphBuilder;
 use qpl_graph::program::{execute_program_into, StrategyProgram};
 use qpl_graph::{ArcId, ArcOutcome, InferenceGraph, NodeId, Strategy};
-use qpl_obs::MemorySink;
 
 /// Deterministically builds a random-ish tree from a shape seed (the
 /// same generator `properties.rs` uses).
@@ -88,13 +85,7 @@ fn assert_plane_matches_scalar(
     assert_eq!(batch.width(), width_for_lanes(lanes));
 
     let mut run = BatchRun::new();
-    let mut sink = MemorySink::new();
-    let succeeded = execute_batch_observed(p, &batch, LaneMask::ALL, &mut run, &mut sink);
-    assert_eq!(
-        sink.value_stats("graph.batch.width").map(|s| s.max),
-        Some(batch.width() as f64),
-        "the observed variant reports the plane width"
-    );
+    let succeeded = execute_batch(p, &batch, LaneMask::ALL, &mut run);
 
     let mut scratch = RunScratch::new(g);
     let mut events: Vec<(ArcId, ArcOutcome)> = Vec::new();
@@ -124,7 +115,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// (a) A W-lane batch equals W independent scalar runs for every
-    /// plane width, including the observed entry point.
+    /// plane width.
     #[test]
     fn every_width_matches_independent_scalar_runs(
         graph_seed in 0u64..32,

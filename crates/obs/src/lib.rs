@@ -13,7 +13,7 @@
 //! * **counters** — monotonically increasing `u64` totals
 //!   (`datalog.retrievals`, `engine.cross_context_cache.hits`, …);
 //! * **values** — `f64` observations aggregated as
-//!   count/sum/min/max (`engine.qp.cost`, …);
+//!   count/sum/min/max (`core.pib.run_cost`, …);
 //! * **spans** — wall-clock durations in nanoseconds, aggregated the
 //!   same way (`report.sampling`, …);
 //! * **events** — structured per-decision records with a small set of

@@ -1,7 +1,7 @@
 //! Canonical metric-name constants for cross-crate telemetry.
 //!
 //! Most instrumented call sites live next to the subsystem they
-//! measure and use string literals in place (`"graph.batch.lanes"`,
+//! measure and use string literals in place (`"datalog.retrievals"`,
 //! `"core.pib.climbs"`, …). Names that cross a crate boundary — emitted
 //! in one crate, asserted on or surfaced by another — live here instead,
 //! so producers and consumers cannot drift apart silently. The serving

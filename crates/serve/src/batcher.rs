@@ -31,9 +31,9 @@
 //!   the next job would overflow the plane. Jobs are never split across
 //!   planes (each is at most [`LANES`] lanes wide, enforced at request
 //!   parse time), so a batch request's lanes always execute together.
-//!   The server cuts with capacity [`MAX_LANES`], so one cut takes the
-//!   whole queue when it holds ≤ 512 lanes, and otherwise the longest
-//!   FIFO prefix that fits in 512.
+//!   A cut's capacity is [`MAX_LANES`], so one cut takes the whole queue
+//!   when it holds ≤ 512 lanes, and otherwise the longest FIFO prefix
+//!   that fits in 512.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -84,23 +84,20 @@ impl<T: LaneWeight> Batcher<T> {
         Ok(())
     }
 
-    /// Pops whole jobs FIFO into `out` (cleared first) until the plane
-    /// is full or the next job would not fit. `max_lanes` is the
-    /// plane's lane capacity (clamped to `LANES..=MAX_LANES`; the
-    /// server passes [`MAX_LANES`]). Returns the lane total. Empty
-    /// queue → 0 lanes, empty `out`.
-    pub fn cut_plane(&mut self, max_lanes: usize, out: &mut Vec<(T, Instant)>) -> usize {
-        let cap = max_lanes.clamp(LANES, MAX_LANES);
+    /// Pops whole jobs FIFO into `out` (cleared first) until the widest
+    /// plane ([`MAX_LANES`]) is full or the next job would not fit.
+    /// Returns the lane total. Empty queue → 0 lanes, empty `out`.
+    pub fn cut_plane(&mut self, out: &mut Vec<(T, Instant)>) -> usize {
         out.clear();
         let mut lanes = 0usize;
         while let Some((job, _)) = self.queue.front() {
             let w = job.lanes();
-            if lanes + w > cap {
+            if lanes + w > MAX_LANES {
                 break;
             }
             lanes += w;
             out.push(self.queue.pop_front().expect("front exists"));
-            if lanes == cap {
+            if lanes == MAX_LANES {
                 break;
             }
         }
@@ -155,33 +152,35 @@ mod tests {
     }
 
     #[test]
-    fn cut_plane_pops_whole_jobs_up_to_64_lanes() {
+    fn cut_plane_pops_whole_jobs_up_to_512_lanes() {
         let t0 = Instant::now();
-        let mut b = Batcher::new(1000);
-        b.offer(J(40), t0).unwrap();
-        b.offer(J(20), t0).unwrap();
-        b.offer(J(10), t0).unwrap(); // would overflow: stays queued
-        b.offer(J(4), t0).unwrap(); // FIFO: not reordered around the 10
+        let mut b = Batcher::new(2000);
+        for _ in 0..7 {
+            b.offer(J(64), t0).unwrap(); // 448 lanes
+        }
+        b.offer(J(40), t0).unwrap(); // 488
+        b.offer(J(30), t0).unwrap(); // would overflow: stays queued
+        b.offer(J(4), t0).unwrap(); // FIFO: not reordered around the 30
         let mut out = Vec::new();
-        assert_eq!(b.cut_plane(LANES, &mut out), 60);
-        assert_eq!(out.len(), 2, "jobs are never split and never reordered");
-        assert_eq!(b.lanes_queued(), 14);
-        assert_eq!(b.cut_plane(LANES, &mut out), 14);
+        assert_eq!(b.cut_plane(&mut out), 488);
+        assert_eq!(out.len(), 8, "jobs are never split and never reordered");
+        assert_eq!(b.lanes_queued(), 34);
+        assert_eq!(b.cut_plane(&mut out), 34);
         assert!(b.is_empty());
-        assert_eq!(b.cut_plane(LANES, &mut out), 0);
+        assert_eq!(b.cut_plane(&mut out), 0);
     }
 
     #[test]
     fn exact_fill_stops_at_the_plane_boundary() {
         let t0 = Instant::now();
         let mut b = Batcher::new(1000);
-        for _ in 0..70 {
+        for _ in 0..520 {
             b.offer(J(1), t0).unwrap();
         }
         let mut out = Vec::new();
-        assert_eq!(b.cut_plane(LANES, &mut out), LANES);
-        assert_eq!(out.len(), LANES);
-        assert_eq!(b.lanes_queued(), 6);
+        assert_eq!(b.cut_plane(&mut out), MAX_LANES);
+        assert_eq!(out.len(), MAX_LANES);
+        assert_eq!(b.lanes_queued(), 8);
     }
 
     #[test]
@@ -192,21 +191,7 @@ mod tests {
             b.offer(J(60), t0).unwrap();
         }
         let mut out = Vec::new();
-        assert_eq!(b.cut_plane(MAX_LANES, &mut out), 300);
+        assert_eq!(b.cut_plane(&mut out), 300);
         assert!(b.is_empty(), "one wide cut drains the whole backlog");
-    }
-
-    #[test]
-    fn cut_plane_clamps_the_capacity_to_the_plane_range() {
-        let t0 = Instant::now();
-        let mut b = Batcher::new(2000);
-        for _ in 0..20 {
-            b.offer(J(64), t0).unwrap();
-        }
-        let mut out = Vec::new();
-        // Below LANES clamps up to one plane; above MAX_LANES clamps
-        // down to the widest plane.
-        assert_eq!(b.cut_plane(0, &mut out), LANES);
-        assert_eq!(b.cut_plane(usize::MAX, &mut out), MAX_LANES);
     }
 }

@@ -108,9 +108,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Connection cap, enforced at accept time.
     pub max_connections: usize,
-    /// Largest `"qs"` array accepted per batch request (clamped to the
-    /// 64-lane plane width).
-    pub max_batch: usize,
     /// Longest accepted request line.
     pub max_line_bytes: usize,
     /// `Some(δ)` turns on online PIB adaptation at confidence `1 − δ`
@@ -140,7 +137,6 @@ impl Default for ServerConfig {
             shards: 1,
             queue_cap: 1024,
             max_connections: 256,
-            max_batch: LANES,
             max_line_bytes: 64 * 1024,
             adapt_delta: None,
             read_poll: Duration::from_millis(25),
@@ -815,7 +811,7 @@ fn handle_connection(stream: &TcpStream, cfg: &ServerConfig, shared: &Shared) {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match handle_line(&line, cfg, shared) {
+                match handle_line(&line, shared) {
                     Reply::Line(resp) => {
                         if write_line(stream, &resp).is_err() {
                             break;
@@ -845,9 +841,8 @@ fn handle_connection(stream: &TcpStream, cfg: &ServerConfig, shared: &Shared) {
     }
 }
 
-fn handle_line(line: &str, cfg: &ServerConfig, shared: &Shared) -> Reply {
-    let max_batch = cfg.max_batch.min(LANES);
-    let req = match wire::parse_request(line, max_batch) {
+fn handle_line(line: &str, shared: &Shared) -> Reply {
+    let req = match wire::parse_request(line, LANES) {
         Ok(r) => r,
         Err(detail) => return Reply::Line(wire::render_error("bad_request", &detail, None)),
     };
@@ -1315,7 +1310,7 @@ fn executor_loop(
                 }
                 // Work-conserving: whatever queued while the previous
                 // plane ran is cut now, up to the widest plane.
-                st.batcher.cut_plane(MAX_LANES, &mut jobs);
+                st.batcher.cut_plane(&mut jobs);
                 if !jobs.is_empty() || !controls.is_empty() || st.draining {
                     exit = st.draining && st.batcher.is_empty() && jobs.is_empty();
                     sq.depth.store(st.batcher.lanes_queued(), Ordering::Relaxed);

@@ -419,8 +419,8 @@ fn fact_list(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
     }
 }
 
-/// Parses one request line. `max_batch` bounds `"qs"` (a serving config
-/// knob, never above the 64-lane plane width).
+/// Parses one request line. `max_batch` bounds `"qs"`; the server passes
+/// the 64-lane plane width, so a batch request never spans two planes.
 ///
 /// # Errors
 /// A detail string suitable for a `bad_request` response.

@@ -7,7 +7,7 @@
 //! * executing the cut planes bit-parallel produces exactly the
 //!   per-lane cost (f64 bit pattern) and outcome that scalar execution
 //!   of the same context produces, and
-//! * the server's work-conserving cut (`cut_plane(MAX_LANES)`) takes
+//! * the server's work-conserving cut (`cut_plane`, capacity `MAX_LANES`) takes
 //!   the whole queue when it holds ≤ 512 lanes, and otherwise the
 //!   longest FIFO prefix of whole jobs that fits in 512.
 //!
@@ -77,7 +77,7 @@ fn serve_plane(
 ) -> Vec<usize> {
     // Cut the way the server does: everything queued, up to the widest
     // plane, so the property covers 64..512-lane planes under backlog.
-    let lanes = batcher.cut_plane(MAX_LANES, plane_buf);
+    let lanes = batcher.cut_plane(plane_buf);
     assert!(lanes <= MAX_LANES, "a plane never exceeds its cut capacity");
     let contexts: Vec<&Context> =
         plane_buf.iter().flat_map(|(req, _)| req.contexts.iter()).collect();
@@ -188,7 +188,7 @@ proptest! {
         }
 
         let mut out = Vec::new();
-        let lanes = batcher.cut_plane(MAX_LANES, &mut out);
+        let lanes = batcher.cut_plane(&mut out);
         if queued <= MAX_LANES {
             prop_assert_eq!(lanes, queued, "a queue that fits is cut whole");
             prop_assert!(batcher.is_empty());

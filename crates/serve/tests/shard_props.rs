@@ -28,7 +28,7 @@ use proptest::{collection, num};
 use qpl_datalog::parser::parse_query;
 use qpl_datalog::SymbolTable;
 use qpl_engine::qp::{classify_context_into, BatchScratch, QueryAnswer, QueryProcessor};
-use qpl_graph::batch::{LANES, MAX_LANES};
+use qpl_graph::batch::LANES;
 use qpl_graph::{ArcId, ArcOutcome};
 use qpl_serve::{fallback_shard, steer_shard, Batcher, LaneWeight, ServeEngine};
 
@@ -231,7 +231,7 @@ proptest! {
             // work-conserving and cuts everything queued.
             for (s, b) in batchers.iter_mut().enumerate() {
                 while (busy >> s) & 1 == 0 && !b.is_empty() {
-                    b.cut_plane(MAX_LANES, &mut plane);
+                    b.cut_plane(&mut plane);
                     for (j, _) in plane.drain(..) {
                         record(&mut fates, j.id, "served")?;
                     }
@@ -259,7 +259,7 @@ proptest! {
         // Drain: what every shard does on shutdown.
         for b in batchers.iter_mut() {
             while !b.is_empty() {
-                b.cut_plane(MAX_LANES, &mut plane);
+                b.cut_plane(&mut plane);
                 for (j, _) in plane.drain(..) {
                     record(&mut fates, j.id, "served")?;
                 }
