@@ -22,6 +22,7 @@
 //! binding-aware (magic) rewrite against unrewritten saturation on the
 //! layered reachability KB.
 
+use qpl_bench::schema::{self, round};
 use qpl_core::{GreedyHeuristic, Pib, PibConfig, SmithHeuristic};
 use qpl_datalog::eval::EvalScratch;
 use qpl_datalog::magic::rewrite;
@@ -31,7 +32,7 @@ use qpl_engine::{MagicRunner, QueryMixOracle, QueryProcessor};
 use qpl_graph::compile::CompiledGraph;
 use qpl_graph::expected::{ContextDistribution, FiniteDistribution};
 use qpl_graph::{Context, Strategy};
-use qpl_obs::{names, MemorySink};
+use qpl_obs::{json_obj, names, JsonValue, MemorySink};
 use qpl_workload::generator::{recursive_path_kb, source_reachability_query, RecursiveKbParams};
 use qpl_workload::paper::{pauper, reachability, university, PAUPER_KB, REACHABILITY_KB};
 use rand::rngs::StdRng;
@@ -241,14 +242,6 @@ fn magic_section() -> MagicRow {
     }
 }
 
-fn arm_json(a: &Arm) -> String {
-    let expected = a.expected.map_or("null".to_string(), |c| format!("{c:.3}"));
-    format!(
-        "{{\"arm\": \"{}\", \"expected_cost\": {expected}, \"measured_us\": {:.2}}}",
-        a.name, a.us
-    )
-}
-
 fn main() {
     let out_path = {
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -376,46 +369,51 @@ fn main() {
         magic.warm_us,
     );
 
-    let workloads = rows
+    let workloads: Vec<JsonValue> = rows
         .iter()
         .map(|row| {
-            let arms = row.arms.iter().map(arm_json).collect::<Vec<_>>().join(",\n        ");
-            format!(
-                "    {{\n      \"workload\": \"{}\",\n      \"greedy_plan_us\": {},\n      \
-                 \"arms\": [\n        {arms}\n      ]\n    }}",
-                row.name, row.greedy_plan_us
-            )
+            let arms: Vec<JsonValue> = row
+                .arms
+                .iter()
+                .map(|a| {
+                    let expected = a.expected.map(|c| round(c, 3));
+                    json_obj! { "arm": a.name, "expected_cost": expected, "measured_us": round(a.us, 2) }
+                })
+                .collect();
+            json_obj! { "workload": row.name, "greedy_plan_us": row.greedy_plan_us, "arms": arms }
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let sweep_rows = sweep
+        .collect();
+    let grid: Vec<JsonValue> = sweep
         .iter()
-        .map(|(lam, l, gr)| {
-            format!("    {{\"lambda\": {lam:.1}, \"learned\": {l:.3}, \"greedy\": {gr:.3}}}")
+        .map(|&(lam, l, gr)| {
+            json_obj! { "lambda": round(lam, 1), "learned": round(l, 3), "greedy": round(gr, 3) }
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"four-way strategy comparison: learned (PIB) vs greedy \
-         (statistics-free) vs smith (fact counts) vs unrewritten (bottom-up saturation)\",\n  \
-         \"seed\": {SEED},\n  \"pib_observations\": {TRAIN},\n  \"reps_per_query\": {REPS},\n  \
-         \"workloads\": [\n{workloads}\n  ],\n  \
-         \"crossover\": {{\n    \"blend\": \"(1-lambda)*section2 + lambda*minors(grad_rate \
-         0.4)\",\n    \"crossover_lambda\": {crossover_lam:.1},\n    \"grid\": [\n{sweep_rows}\n    \
-         ]\n  }},\n  \
-         \"magic\": {{\n    \"workload\": \"layers={} width={} reachability (column 0 an \
-         isolated chain, columns 1+ densely cross-connected), query path(n0_0, W)\",\n    \
-         \"unrewritten_us\": {:.1},\n    \"magic_fresh_us\": {:.1},\n    \
-         \"magic_warm_us\": {:.2},\n    \"unrewritten_derived\": {},\n    \
-         \"magic_derived\": {}\n  }}\n}}\n",
-        magic.layers,
-        magic.width,
-        magic.full_us,
-        magic.fresh_us,
-        magic.warm_us,
-        magic.full_derived,
-        magic.magic_derived,
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_fourway.json");
+        .collect();
+    let doc = json_obj! {
+        "bench": "four-way strategy comparison: learned (PIB) vs greedy (statistics-free) vs \
+            smith (fact counts) vs unrewritten (bottom-up saturation)",
+        "seed": SEED,
+        "pib_observations": TRAIN,
+        "reps_per_query": REPS,
+        "workloads": workloads,
+        "crossover": json_obj! {
+            "blend": "(1-lambda)*section2 + lambda*minors(grad_rate 0.4)",
+            "crossover_lambda": round(crossover_lam, 1),
+            "grid": grid,
+        },
+        "magic": json_obj! {
+            "workload": format!(
+                "layers={} width={} reachability (column 0 an isolated chain, columns 1+ densely \
+                 cross-connected), query path(n0_0, W)",
+                magic.layers, magic.width
+            ),
+            "unrewritten_us": round(magic.full_us, 1),
+            "magic_fresh_us": round(magic.fresh_us, 1),
+            "magic_warm_us": round(magic.warm_us, 2),
+            "unrewritten_derived": magic.full_derived,
+            "magic_derived": magic.magic_derived,
+        },
+    };
+    schema::FOURWAY.write(&doc, &out_path);
     println!("wrote {out_path}");
 }

@@ -10,11 +10,13 @@
 //! hardware has the cores, but the determinism contract (identical sums
 //! for every worker count) is asserted here regardless.
 
+use qpl_bench::schema::{self, round};
 use qpl_core::TransformationSet;
 use qpl_engine::par::{batch_fold, sample_rng, ParConfig};
 use qpl_graph::context::cost;
 use qpl_graph::expected::ContextDistribution;
 use qpl_graph::{CostEvaluator, Strategy};
+use qpl_obs::{json_obj, JsonValue};
 use qpl_workload::generator::{random_retrieval_model, random_tree_with_retrievals, TreeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,14 +83,11 @@ fn main() {
         measured.push((workers, cps));
     }
     let w1_cps = measured[0].1;
-    let throughput_rows: Vec<String> = measured
+    let throughput_rows: Vec<JsonValue> = measured
         .iter()
         .map(|&(workers, cps)| {
-            format!(
-                "    {{\"workers\": {workers}, \"contexts_per_sec\": {cps:.0}, \
-                 \"speedup_vs_w1\": {:.3}}}",
-                cps / w1_cps
-            )
+            let speedup = round(cps / w1_cps, 3);
+            json_obj! { "workers": workers, "contexts_per_sec": round(cps, 0), "speedup_vs_w1": speedup }
         })
         .collect();
 
@@ -129,24 +128,22 @@ fn main() {
             "retrievals={retrievals} depth={depth}: full {full_ns:.0} ns, \
              after_swap {inc_ns:.0} ns, speedup {speedup:.1}x"
         );
-        candidate_rows.push(format!(
-            "    {{\"retrievals\": {retrievals}, \"tree_depth\": {depth}, \
-             \"candidates\": {}, \"full_recompute_ns\": {full_ns:.0}, \
-             \"after_swap_ns\": {inc_ns:.0}, \"speedup\": {speedup:.2}}}",
-            neighbors.len()
-        ));
+        candidate_rows.push(json_obj! {
+            "retrievals": retrievals, "tree_depth": depth, "candidates": neighbors.len(),
+            "full_recompute_ns": round(full_ns, 0), "after_swap_ns": round(inc_ns, 0),
+            "speedup": round(speedup, 2),
+        });
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"parallel sampling harness + incremental expected cost\",\n  \
-         \"cores\": {cores},\n  \
-         \"note\": \"MC wall-clock speedup requires physical cores; determinism (bit-identical \
-         sums across worker counts) is asserted on every run regardless\",\n  \
-         \"mc_samples\": {n},\n  \"mc_throughput\": [\n{}\n  ],\n  \
-         \"per_candidate_expected_cost\": [\n{}\n  ]\n}}\n",
-        throughput_rows.join(",\n"),
-        candidate_rows.join(",\n")
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_parallel.json");
+    let doc = json_obj! {
+        "bench": "parallel sampling harness + incremental expected cost",
+        "cores": cores,
+        "note": "MC wall-clock speedup requires physical cores; determinism (bit-identical sums \
+            across worker counts) is asserted on every run regardless",
+        "mc_samples": n,
+        "mc_throughput": throughput_rows,
+        "per_candidate_expected_cost": candidate_rows,
+    };
+    schema::PARALLEL.write(&doc, &out_path);
     println!("wrote {out_path} (cores={cores})");
 }

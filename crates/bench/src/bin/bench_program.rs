@@ -24,6 +24,7 @@
 //! happens outside the timed region: this benchmark prices the
 //! execution loop itself.
 
+use qpl_bench::schema::{self, round};
 use qpl_core::{Pib, PibConfig};
 use qpl_engine::par::sample_rng;
 use qpl_graph::batch::{execute_batch, BatchRun, ContextBatch, LANES};
@@ -31,6 +32,7 @@ use qpl_graph::context::{cost_into, Context, RunScratch};
 use qpl_graph::expected::ContextDistribution;
 use qpl_graph::program::{program_cost_into, StrategyProgram};
 use qpl_graph::Strategy;
+use qpl_obs::{json_obj, JsonValue};
 use qpl_workload::generator::{random_retrieval_model, random_tree_with_retrievals, TreeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -284,7 +286,7 @@ fn main() {
         bench_shape(22, 128, 8, n, &widths),
         bench_shape(23, 512, 10, n / 4, &widths),
     ];
-    let shape_rows: Vec<String> = shapes
+    let shape_rows: Vec<JsonValue> = shapes
         .iter()
         .map(|s| {
             // The width-1 plane is the baseline; `batch_per_sec` keeps
@@ -296,52 +298,43 @@ fn main() {
                 .copied()
                 .max_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("at least one width swept");
-            let by_width = s
-                .batch_cps
-                .iter()
-                .map(|(w, cps)| format!("\"w{w}\": {cps:.0}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "    {{\"retrievals\": {}, \"arcs\": {}, \"samples\": {}, \
-                 \"tree_walk_per_sec\": {:.0}, \"walk_reuse_per_sec\": {:.0}, \
-                 \"program_per_sec\": {:.0}, \"batch_per_sec\": {:.0}, \
-                 \"batch_by_width_per_sec\": {{{by_width}}}, \
-                 \"best_width\": {best_w}, \"best_width_vs_w1\": {:.2}, \
-                 \"batch_vs_tree_walk\": {:.2}, \"batch_vs_walk_reuse\": {:.2}}}",
-                s.retrievals,
-                s.arcs,
-                s.samples,
-                s.walk_cps,
-                s.reuse_cps,
-                s.program_cps,
-                w1,
-                if w1 > 0.0 { best_cps / w1 } else { 1.0 },
-                best_cps / s.walk_cps,
-                best_cps / s.reuse_cps
-            )
+            let by_width = s.batch_cps.iter().map(|(w, cps)| (format!("w{w}"), round(*cps, 0).into()));
+            json_obj! {
+                "retrievals": s.retrievals, "arcs": s.arcs, "samples": s.samples,
+                "tree_walk_per_sec": round(s.walk_cps, 0), "walk_reuse_per_sec": round(s.reuse_cps, 0),
+                "program_per_sec": round(s.program_cps, 0), "batch_per_sec": round(w1, 0),
+                "batch_by_width_per_sec": JsonValue::object(by_width), "best_width": best_w,
+                "best_width_vs_w1": round(if w1 > 0.0 { best_cps / w1 } else { 1.0 }, 2),
+                "batch_vs_tree_walk": round(best_cps / s.walk_cps, 2),
+                "batch_vs_walk_reuse": round(best_cps / s.reuse_cps, 2),
+            }
         })
         .collect();
-
     let (pib_scalar, pib_batch) = bench_pib(24, n / 2);
 
-    let json = format!(
-        "{{\n  \"bench\": \"strategy programs + bit-parallel batch execution\",\n  \
-         \"cores\": {cores},\n  \
-         \"note\": \"tree_walk is the per-sample loop as the MC harness calls it (scratch \
-         allocated per call); walk_reuse hoists the scratch; batch sweeps plane widths \
-         (w1..w8 = 64..512 lanes per plane, same [u64; W] executor); sums asserted \
-         bit-identical across every path and width; sampling excluded from timing; \
-         best-of-5 reps per variant; batch_per_sec is the w1 plane, best_width the \
-         fastest swept width (best_width 1 = honest no-regression: on this box the \
-         wider planes' dispatch amortization does not pay for their larger resident \
-         footprint)\",\n  \
-         \"execution_throughput\": [\n{}\n  ],\n  \
-         \"pib_end_to_end\": {{\"scalar_per_sec\": {pib_scalar:.0}, \
-         \"batched_per_sec\": {pib_batch:.0}, \"speedup\": {:.2}}}\n}}\n",
-        shape_rows.join(",\n"),
-        pib_batch / pib_scalar
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_program.json");
+    let doc = json_obj! {
+        "bench": "strategy programs + bit-parallel batch execution",
+        "cores": cores,
+        "note": "tree_walk is the per-sample loop as the MC harness calls it (scratch allocated per \
+            call); walk_reuse hoists the scratch; batch sweeps plane widths (w1..w8 = 64..512 lanes \
+            per plane, same [u64; W] executor); sums asserted bit-identical across every path and \
+            width; sampling excluded from timing; best-of-5 reps per variant; batch_per_sec is the \
+            w1 plane, best_width the fastest swept width (best_width 1 = honest no-regression: on \
+            this box the wider planes' dispatch amortization does not pay for their larger \
+            resident footprint)",
+        "execution_throughput": shape_rows,
+        "pib_end_to_end": json_obj! {
+            "scalar_per_sec": round(pib_scalar, 0), "batched_per_sec": round(pib_batch, 0),
+            "speedup": round(pib_batch / pib_scalar, 2),
+        },
+    };
+    // The declared schema holds for any sweep; this run must also have
+    // reported exactly the widths it was asked for.
+    let want: Vec<String> = widths.iter().map(|w| format!("w{w}")).collect();
+    for by_width in schema::at(&doc, "execution_throughput[].batch_by_width_per_sec").unwrap() {
+        let JsonValue::Obj(fields) = by_width else { panic!("width map is an object") };
+        assert!(fields.iter().map(|(w, _)| w).eq(&want), "width keys differ from {want:?}");
+    }
+    schema::PROGRAM.write(&doc, &out_path);
     println!("wrote {out_path} (cores={cores})");
 }

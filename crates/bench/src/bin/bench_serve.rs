@@ -49,9 +49,10 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use qpl_bench::schema::{self, round};
 use qpl_engine::QueryProcessor;
 use qpl_graph::context::RunScratch;
-use qpl_serve::wire::JsonValue;
+use qpl_obs::{json_obj, JsonValue};
 use qpl_serve::{ServeEngine, Server, ServerConfig};
 use qpl_workload::generator::KbParams;
 
@@ -149,10 +150,19 @@ fn rotate<T: Clone>(xs: &[T], by: usize) -> Vec<T> {
 }
 
 fn batch_request(texts: &[String]) -> String {
-    format!(
-        r#"{{"kind":"batch","qs":[{}]}}"#,
-        texts.iter().map(|t| format!("\"{t}\"")).collect::<Vec<_>>().join(",")
-    )
+    let qs: Vec<JsonValue> = texts.iter().map(|t| t.as_str().into()).collect();
+    json_obj! { "kind": "batch", "qs": qs }.to_compact()
+}
+
+/// Update round `i`: even rounds insert `churn(u{i})`, odd rounds
+/// retract the previous round's fact.
+fn update_request(i: u64) -> String {
+    let req = if i.is_multiple_of(2) {
+        json_obj! { "kind": "update", "insert": vec![format!("churn(u{i})")], "id": i }
+    } else {
+        json_obj! { "kind": "update", "retract": vec![format!("churn(u{})", i - 1)], "id": i }
+    };
+    req.to_compact()
 }
 
 /// Starts a fresh `shards`-shard server, drives the full client load
@@ -264,12 +274,7 @@ fn bench_one(args: &Args, shards: usize, texts: &[String], expected: &[&'static 
     };
     let query_req = batch_request(texts);
     for i in 0..args.updates as u64 {
-        let update_req = if i % 2 == 0 {
-            format!(r#"{{"kind":"update","insert":["churn(u{i})"],"id":{i}}}"#)
-        } else {
-            format!(r#"{{"kind":"update","retract":["churn(u{})"],"id":{i}}}"#, i - 1)
-        };
-        let ack = send_line(&mut ctl, &mut ctl_reader, &update_req);
+        let ack = send_line(&mut ctl, &mut ctl_reader, &update_request(i));
         assert_eq!(ack.get("kind").and_then(JsonValue::as_str), Some("updated"), "{ack:?}");
         assert_eq!(
             ack.get("deltas_applied").and_then(JsonValue::as_f64),
@@ -366,54 +371,37 @@ fn bench_one(args: &Args, shards: usize, texts: &[String], expected: &[&'static 
     run
 }
 
-fn run_json(r: &RunStats) -> String {
-    let per_shard = r
-        .per_shard
-        .iter()
-        .map(|(shard, served, fill, qps)| {
-            format!(
-                "{{\"shard\": {shard:.0}, \"served_queries\": {served:.0}, \
-                 \"fill_ratio\": {fill:.4}, \"serve_qps\": {qps:.0}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"shards\": {}, \"sent_requests\": {}, \"served_requests\": {}, \
-         \"overloaded_requests\": {}, \"served_queries\": {}, \
-         \"serve_secs\": {:.3}, \"serve_qps\": {:.0}, \
-         \"total_secs\": {:.3}, \"total_qps\": {:.0}, \
-         \"batch_fill_ratio\": {:.4}, \"service_p50_us\": {:.1}, \
-         \"service_p99_us\": {:.1}, \"strategy_climbs\": {:.0}, \
-         \"adoptions\": {:.0}, \"steer_fallbacks\": {:.0}, \
-         \"width_planes\": {{\"w1\": {}, \"w2\": {}, \"w4\": {}, \"w8\": {}}}, \
-         \"per_shard\": [{per_shard}], \
-         \"updates\": {{\"rounds\": {}, \"per_shard_deltas_applied\": [{}], \
-         \"kb_delta_applied\": {:.0}, \"events_dropped\": {:.0}}}}}",
-        r.shards,
-        r.sent,
-        r.served_reqs,
-        r.shed_reqs,
-        r.served_queries,
-        r.serve_secs,
-        r.serve_qps,
-        r.total_secs,
-        r.total_qps,
-        r.fill,
-        r.p50,
-        r.p99,
-        r.climbs,
-        r.adoptions,
-        r.steer_fallbacks,
-        r.width_planes[0],
-        r.width_planes[1],
-        r.width_planes[2],
-        r.width_planes[3],
-        r.update_rounds,
-        r.per_shard_deltas.iter().map(|d| format!("{d:.0}")).collect::<Vec<_>>().join(", "),
-        r.kb_delta_applied,
-        r.events_dropped,
-    )
+impl RunStats {
+    fn to_json(&self) -> JsonValue {
+        let per_shard: Vec<JsonValue> = self
+            .per_shard
+            .iter()
+            .map(|&(shard, served, fill, qps)| {
+                json_obj! {
+                    "shard": round(shard, 0), "served_queries": round(served, 0),
+                    "fill_ratio": round(fill, 4), "serve_qps": round(qps, 0),
+                }
+            })
+            .collect();
+        let [w1, w2, w4, w8] = self.width_planes;
+        let deltas: Vec<f64> = self.per_shard_deltas.iter().map(|&d| round(d, 0)).collect();
+        json_obj! {
+            "shards": self.shards, "sent_requests": self.sent, "served_requests": self.served_reqs,
+            "overloaded_requests": self.shed_reqs, "served_queries": self.served_queries,
+            "serve_secs": round(self.serve_secs, 3), "serve_qps": round(self.serve_qps, 0),
+            "total_secs": round(self.total_secs, 3), "total_qps": round(self.total_qps, 0),
+            "batch_fill_ratio": round(self.fill, 4), "service_p50_us": round(self.p50, 1),
+            "service_p99_us": round(self.p99, 1), "strategy_climbs": round(self.climbs, 0),
+            "adoptions": round(self.adoptions, 0), "steer_fallbacks": round(self.steer_fallbacks, 0),
+            "width_planes": json_obj! { "w1": w1, "w2": w2, "w4": w4, "w8": w8 },
+            "per_shard": per_shard,
+            "updates": json_obj! {
+                "rounds": self.update_rounds, "per_shard_deltas_applied": deltas,
+                "kb_delta_applied": round(self.kb_delta_applied, 0),
+                "events_dropped": round(self.events_dropped, 0),
+            },
+        }
+    }
 }
 
 fn main() {
@@ -464,44 +452,40 @@ fn main() {
         .iter()
         .max_by(|a, b| a.serve_qps.partial_cmp(&b.serve_qps).expect("qps is finite"))
         .expect("at least one run");
-    let scaling = match baseline {
-        Some(b) if b.serve_qps > 0.0 => format!(
-            "{{\"baseline_shards\": 1, \"best_shards\": {}, \"best_serve_qps\": {:.0}, \
-             \"speedup_vs_one_shard\": {:.3}}}",
-            best.shards,
-            best.serve_qps,
-            best.serve_qps / b.serve_qps
-        ),
-        _ => "null".to_string(),
-    };
+    let scaling = baseline.filter(|b| b.serve_qps > 0.0).map(|b| {
+        json_obj! {
+            "baseline_shards": 1usize, "best_shards": best.shards,
+            "best_serve_qps": round(best.serve_qps, 0),
+            "speedup_vs_one_shard": round(best.serve_qps / b.serve_qps, 3),
+        }
+    });
 
-    let runs_json =
-        runs.iter().map(run_json).map(|r| format!("    {r}")).collect::<Vec<_>>().join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"qpl-serve end-to-end (TCP, line-delimited JSON)\",\n  \
-         \"cores\": {cores},\n  \
-         \"shape\": {{\"kb\": \"layered\", \"seed\": {SEED}, \"layers\": {}, \
-         \"rules_per_layer\": {}, \"constants\": {}, \"facts_per_predicate\": {}}},\n  \
-         \"load\": {{\"client_threads\": {}, \"rounds_per_thread\": {}, \
-         \"batch_lanes\": {}, \"update_rounds\": {}, \"adapt_delta\": {}}},\n  \
-         \"note\": \"serve_qps counts served queries over the serve window (all clients \
-         connected, responses stored raw and verified afterwards); total_qps charges \
-         connect + verify too. Every served lane checked against a direct scalar \
-         QueryProcessor run; answered + overloaded asserted == sent. Multi-shard \
-         speedup requires multiple cores; cores records what this host had\",\n  \
-         \"runs\": [\n{runs_json}\n  ],\n  \
-         \"scaling\": {scaling}\n}}\n",
-        params.layers,
-        params.rules_per_layer,
-        params.constants,
-        params.facts_per_predicate,
-        args.threads,
-        args.rounds,
-        args.batch,
-        args.updates,
-        args.adapt.map_or("null".to_string(), |d| d.to_string()),
-    );
-    std::fs::write(&args.out, &json).expect("write BENCH_serve.json");
+    let doc = json_obj! {
+        "bench": "qpl-serve end-to-end (TCP, line-delimited JSON)",
+        "cores": cores,
+        "shape": json_obj! {
+            "kb": "layered", "seed": SEED, "layers": params.layers,
+            "rules_per_layer": params.rules_per_layer, "constants": params.constants,
+            "facts_per_predicate": params.facts_per_predicate,
+        },
+        "load": json_obj! {
+            "client_threads": args.threads, "rounds_per_thread": args.rounds,
+            "batch_lanes": args.batch, "update_rounds": args.updates, "adapt_delta": args.adapt,
+        },
+        "note": "serve_qps counts served queries over the serve window (all clients connected, \
+            responses stored raw and verified afterwards); total_qps charges connect + verify \
+            too. Every served lane checked against a direct scalar QueryProcessor run; answered + \
+            overloaded asserted == sent. Multi-shard speedup requires multiple cores; cores \
+            records what this host had",
+        "runs": runs.iter().map(RunStats::to_json).collect::<Vec<_>>(),
+        "scaling": scaling,
+    };
+    // The declared schema holds for any sweep; this run must also have
+    // reported exactly the shard counts it swept.
+    let shards: Vec<f64> =
+        schema::at(&doc, "runs[].shards").unwrap().iter().filter_map(|s| s.as_f64()).collect();
+    assert_eq!(shards, sweep.iter().map(|&n| n as f64).collect::<Vec<_>>(), "runs match the sweep");
+    schema::SERVE.write(&doc, &args.out);
     println!("wrote {} (cores={cores}, sweep={sweep:?})", args.out);
 
     if let Some(min) = args.assert_qps {

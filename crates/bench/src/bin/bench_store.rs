@@ -29,12 +29,14 @@
 //!   reported: durability's whole point is not paying the relearning
 //!   bill twice.
 
+use qpl_bench::schema::{self, round};
 use qpl_core::{CandidateState, ClimbState, Pib, PibConfig, PibState};
 use qpl_datalog::parser::parse_query;
 use qpl_datalog::{Database, Fact, SymbolTable, Term};
 use qpl_engine::{QueryMixOracle, QueryProcessor};
 use qpl_graph::graph::ArcId;
 use qpl_graph::Strategy;
+use qpl_obs::{json_obj, JsonValue};
 use qpl_store::{
     CandidateEntry, ClimbEntry, FsyncPolicy, PibSnapshot, Record, Snapshot, Store, StoreConfig,
     StrategyState,
@@ -407,50 +409,36 @@ fn main() {
         rs.train, rs.climbs, rs.cold_ms, rs.warm_ms, rs.speedup, rs.fingerprint
     );
 
-    let wal_json = wal_runs
+    let wal_rows: Vec<JsonValue> = wal_runs
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"fsync\": \"{}\", \"records\": {}, \"bytes\": {}, \"secs\": {:.4}, \
-                 \"records_per_sec\": {:.0}, \"mb_per_sec\": {:.2}}}",
-                r.policy,
-                r.records,
-                r.bytes,
-                r.secs,
-                r.records as f64 / r.secs,
-                r.bytes as f64 / r.secs / 1e6
-            )
+            json_obj! {
+                "fsync": r.policy, "records": r.records, "bytes": r.bytes, "secs": round(r.secs, 4),
+                "records_per_sec": round(r.records as f64 / r.secs, 0),
+                "mb_per_sec": round(r.bytes as f64 / r.secs / 1e6, 2),
+            }
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"qpl-store durability (WAL + snapshot + warm restart)\",\n  \
-         \"commit_every\": {COMMIT_EVERY},\n  \
-         \"wal_append\": [\n{wal_json}\n  ],\n  \
-         \"checkpoint\": {{\"shape\": \"E18 reachability DAG (14 layers x 2)\", \
-         \"facts\": {}, \"snapshot_bytes\": {}, \"write_ms\": {:.3}, \
-         \"recover_ms\": {:.3}, \"replayed_records\": {}}},\n  \
-         \"restart\": {{\"train_observations\": {}, \"climbs\": {}, \
-         \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.1}, \
-         \"min_speedup_asserted\": {}, \"strategy_fp\": \"{:016x}\"}},\n  \
-         \"note\": \"cold = build engine + relearn the adopted strategy from PIB \
-         observations + answer probe; warm = Store::open + rebuild KB from snapshot + \
-         Pib::restore + answer probe. Identical answer and fingerprint asserted; the \
-         speedup floor is asserted in-bin, so a regression fails the bench instead of \
-         shipping a slow restart\"\n}}\n",
-        ck.facts,
-        ck.snapshot_bytes,
-        ck.write_ms,
-        ck.recover_ms,
-        ck.replayed_records,
-        rs.train,
-        rs.climbs,
-        rs.cold_ms,
-        rs.warm_ms,
-        rs.speedup,
-        args.min_speedup,
-        rs.fingerprint,
-    );
-    std::fs::write(&args.out, &json).expect("write BENCH_store.json");
+        .collect();
+    let doc = json_obj! {
+        "bench": "qpl-store durability (WAL + snapshot + warm restart)",
+        "commit_every": COMMIT_EVERY,
+        "wal_append": wal_rows,
+        "checkpoint": json_obj! {
+            "shape": "E18 reachability DAG (14 layers x 2)", "facts": ck.facts,
+            "snapshot_bytes": ck.snapshot_bytes, "write_ms": round(ck.write_ms, 3),
+            "recover_ms": round(ck.recover_ms, 3), "replayed_records": ck.replayed_records,
+        },
+        "restart": json_obj! {
+            "train_observations": rs.train, "climbs": rs.climbs, "cold_ms": round(rs.cold_ms, 3),
+            "warm_ms": round(rs.warm_ms, 3), "speedup": round(rs.speedup, 1),
+            "min_speedup_asserted": args.min_speedup,
+            "strategy_fp": format!("{:016x}", rs.fingerprint),
+        },
+        "note": "cold = build engine + relearn the adopted strategy from PIB observations + \
+            answer probe; warm = Store::open + rebuild KB from snapshot + Pib::restore + answer \
+            probe. Identical answer and fingerprint asserted; the speedup floor is asserted \
+            in-bin, so a regression fails the bench instead of shipping a slow restart",
+    };
+    schema::STORE.write(&doc, &args.out);
     println!("wrote {}", args.out);
 }

@@ -18,12 +18,14 @@
 //! count — but the count is recorded anyway, for honesty about the
 //! machine the numbers came from.
 
+use qpl_bench::schema::{self, round};
 use qpl_datalog::eval::EvalScratch;
 use qpl_datalog::magic::rewrite;
 use qpl_datalog::table::TableStore;
 use qpl_datalog::topdown::RetrievalStats;
 use qpl_datalog::{eval, Adornment, Fact, QueryForm, TopDown};
 use qpl_engine::{CrossContextCache, MagicRunner};
+use qpl_obs::{json_obj, JsonValue};
 use qpl_workload::generator::{recursive_path_kb, source_reachability_query, RecursiveKbParams};
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -205,32 +207,14 @@ fn magic_run() -> MagicStats {
     }
 }
 
-fn magic_json(s: &MagicStats) -> String {
-    format!(
-        "{{\n    \"workload\": \"layers={} width={} reachability (column 0 an isolated \
-         chain, columns 1+ densely cross-connected), bound-source query path(n0_0, W)\",\n    \
-         \"unrewritten_us\": {:.1},\n    \"magic_fresh_us\": {:.1},\n    \
-         \"magic_warm_us\": {:.2},\n    \"unrewritten_derived\": {},\n    \
-         \"magic_derived\": {},\n    \"answers\": {},\n    \
-         \"fresh_speedup\": {:.1},\n    \"floor\": {MAGIC_SPEEDUP_FLOOR}\n  }}",
-        s.layers,
-        s.width,
-        s.full_us,
-        s.magic_fresh_us,
-        s.magic_warm_us,
-        s.full_derived,
-        s.magic_derived,
-        s.answers,
-        s.speedup,
-    )
-}
-
-fn churn_json(s: &ChurnStats) -> String {
-    format!(
-        "{{\"warm_hits\": {}, \"invalidations\": {}, \"retrievals\": {}, \
-         \"tables_maintained\": {}, \"per_round_us\": {:.2}}}",
-        s.warm_hits, s.invalidations, s.retrievals, s.tables_maintained, s.per_round_us
-    )
+impl ChurnStats {
+    fn to_json(&self) -> JsonValue {
+        json_obj! {
+            "warm_hits": self.warm_hits, "invalidations": self.invalidations,
+            "retrievals": self.retrievals, "tables_maintained": self.tables_maintained,
+            "per_round_us": round(self.per_round_us, 2),
+        }
+    }
 }
 
 fn main() {
@@ -290,12 +274,12 @@ fn main() {
             "layers={layers}: plain {plain_us:.1} µs ({retr} retrievals), tabled {tabled_us:.1} µs \
              ({tabled_speedup:.1}x), cached-warm {cached_us:.2} µs ({cached_speedup:.0}x)"
         );
-        rows.push(format!(
-            "    {{\"layers\": {layers}, \"width\": 2, \"plain_us\": {plain_us:.1}, \
-             \"plain_retrievals\": {retr}, \"tabled_fresh_us\": {tabled_us:.1}, \
-             \"tabled_speedup\": {tabled_speedup:.1}, \"cached_warm_us\": {cached_us:.2}, \
-             \"cached_speedup\": {cached_speedup:.1}}}"
-        ));
+        rows.push(json_obj! {
+            "layers": layers, "width": 2usize, "plain_us": round(plain_us, 1),
+            "plain_retrievals": retr, "tabled_fresh_us": round(tabled_us, 1),
+            "tabled_speedup": round(tabled_speedup, 1), "cached_warm_us": round(cached_us, 2),
+            "cached_speedup": round(cached_speedup, 1),
+        });
     }
 
     // Update-churn scenario: live single-fact deltas against a warm
@@ -346,27 +330,38 @@ fn main() {
         magic.speedup
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"tabled top-down evaluation + cross-context answer cache\",\n  \
-         \"cores\": {cores},\n  \
-         \"workload\": \"layered-DAG reachability, exhaustive-failure query path(n0_0, sink)\",\n  \
-         \"note\": \"speedups are algorithmic (plain SLD work grows like 2^layers, tabled stays \
-         polynomial, warm cache skips re-proof entirely), so they hold at any core count\",\n  \
-         \"tabling\": [\n{}\n  ],\n  \
-         \"update_churn\": {{\n    \
-         \"workload\": \"layers=12 width=2 reachability + annot/1 padding, 1 fact \
-         churned per round (~1%), every 25th round an insert inside the path \
-         footprint\",\n    \
-         \"rounds\": {CHURN_ROUNDS},\n    \"kb_facts\": {},\n    \
-         \"selective\": {},\n    \"wholesale\": {},\n    \
-         \"warm_hit_advantage\": {advantage:.1}\n  }},\n  \
-         \"magic_speedup\": {}\n}}\n",
-        rows.join(",\n"),
-        selective.kb_facts,
-        churn_json(&selective),
-        churn_json(&wholesale),
-        magic_json(&magic),
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_tabling.json");
+    let doc = json_obj! {
+        "bench": "tabled top-down evaluation + cross-context answer cache",
+        "cores": cores,
+        "workload": "layered-DAG reachability, exhaustive-failure query path(n0_0, sink)",
+        "note": "speedups are algorithmic (plain SLD work grows like 2^layers, tabled stays \
+            polynomial, warm cache skips re-proof entirely), so they hold at any core count",
+        "tabling": rows,
+        "update_churn": json_obj! {
+            "workload": "layers=12 width=2 reachability + annot/1 padding, 1 fact churned per \
+                round (~1%), every 25th round an insert inside the path footprint",
+            "rounds": CHURN_ROUNDS,
+            "kb_facts": selective.kb_facts,
+            "selective": selective.to_json(),
+            "wholesale": wholesale.to_json(),
+            "warm_hit_advantage": round(advantage, 1),
+        },
+        "magic_speedup": json_obj! {
+            "workload": format!(
+                "layers={} width={} reachability (column 0 an isolated chain, columns 1+ densely \
+                 cross-connected), bound-source query path(n0_0, W)",
+                magic.layers, magic.width
+            ),
+            "unrewritten_us": round(magic.full_us, 1),
+            "magic_fresh_us": round(magic.magic_fresh_us, 1),
+            "magic_warm_us": round(magic.magic_warm_us, 2),
+            "unrewritten_derived": magic.full_derived,
+            "magic_derived": magic.magic_derived,
+            "answers": magic.answers,
+            "fresh_speedup": round(magic.speedup, 1),
+            "floor": MAGIC_SPEEDUP_FLOOR,
+        },
+    };
+    schema::TABLING.write(&doc, &out_path);
     println!("wrote {out_path} (cores={cores})");
 }

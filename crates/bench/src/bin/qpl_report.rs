@@ -8,11 +8,14 @@
 //! qpl-report [--seed N] [--out metrics.json]
 //! ```
 //!
-//! Without `--out` the snapshot goes to stdout. The snapshot's top-level
-//! keys (`schema_version`, `counters`, `values`, `spans`, `events`,
-//! `dropped_events`) are stable across runs; see DESIGN.md's
+//! Without `--out` the snapshot goes to stdout. Either way it is first
+//! checked against [`schema::METRICS`]: the top-level keys
+//! (`schema_version`, `counters`, `values`, `spans`, `events`,
+//! `dropped_events`) are stable across runs, and the counters, events
+//! and spans the schema requires must be present; see DESIGN.md's
 //! observability section for the metric namespaces inside them.
 
+use qpl_bench::schema;
 use qpl_core::pao::{Pao, PaoConfig};
 use qpl_core::pib::{Pib, PibConfig};
 use qpl_core::GreedyHeuristic;
@@ -161,6 +164,7 @@ fn main() {
     pao_phase(seed, &mut sink);
 
     let snapshot = JsonSnapshot::capture(&sink);
+    schema::METRICS.assert(snapshot.as_value());
     match out {
         Some(path) => {
             std::fs::write(&path, snapshot.as_str()).expect("write snapshot");

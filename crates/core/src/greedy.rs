@@ -105,9 +105,9 @@ impl GreedyHeuristic {
     ///
     /// # Errors
     /// Same as [`GreedyHeuristic::strategy`].
-    pub fn strategy_observed(
+    pub fn strategy_observed<S: MetricsSink + ?Sized>(
         compiled: &CompiledGraph,
-        sink: &mut dyn MetricsSink,
+        sink: &mut S,
     ) -> Result<Strategy, GraphError> {
         let t0 = Instant::now();
         let result = Self::strategy(compiled);

@@ -153,11 +153,11 @@ impl Palo {
     /// per-neighbour `core.palo.certificate` events when the ε-local
     /// optimum is certified. With a [`NoopSink`] this is identical to
     /// `observe`.
-    pub fn observe_with(
+    pub fn observe_with<S: MetricsSink + ?Sized>(
         &mut self,
         g: &InferenceGraph,
         ctx: &Context,
-        sink: &mut dyn MetricsSink,
+        sink: &mut S,
     ) -> bool {
         if self.stopped {
             return false;
@@ -186,11 +186,11 @@ impl Palo {
 
     /// [`observe_batch`](Self::observe_batch) with telemetry (see
     /// [`observe_with`](Self::observe_with)).
-    pub fn observe_batch_with(
+    pub fn observe_batch_with<S: MetricsSink + ?Sized>(
         &mut self,
         g: &InferenceGraph,
         batch: &ContextBatch,
-        sink: &mut dyn MetricsSink,
+        sink: &mut S,
     ) -> bool {
         let lanes = batch.lanes();
         let mut lane = 0usize;
@@ -253,7 +253,7 @@ impl Palo {
 
     /// The per-context climb/stop decision, shared verbatim by the
     /// scalar and batched observation paths.
-    fn decide(&mut self, g: &InferenceGraph, sink: &mut dyn MetricsSink) -> bool {
+    fn decide<S: MetricsSink + ?Sized>(&mut self, g: &InferenceGraph, sink: &mut S) -> bool {
         // Charge one test per candidate (each gets a two-sided look).
         let delta_i = self.schedule.advance(self.candidates.len() as u64);
         let per_side = delta_i / 2.0;

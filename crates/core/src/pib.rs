@@ -359,11 +359,11 @@ impl Pib {
     /// `core.pib.candidate` event per Equation 6 evaluation (Δ̃ sum,
     /// Chernoff threshold, accept/reject verdict) plus context/test/climb
     /// counters. With a [`NoopSink`] this is identical to `observe`.
-    pub fn observe_with(
+    pub fn observe_with<S: MetricsSink + ?Sized>(
         &mut self,
         g: &InferenceGraph,
         ctx: &Context,
-        sink: &mut dyn MetricsSink,
+        sink: &mut S,
     ) -> Trace {
         self.observe_quiet_with(g, ctx, sink);
         self.run_scratch.to_trace()
@@ -378,11 +378,11 @@ impl Pib {
 
     /// [`observe_quiet`](Self::observe_quiet) with telemetry (see
     /// [`observe_with`](Self::observe_with)).
-    pub fn observe_quiet_with(
+    pub fn observe_quiet_with<S: MetricsSink + ?Sized>(
         &mut self,
         g: &InferenceGraph,
         ctx: &Context,
-        sink: &mut dyn MetricsSink,
+        sink: &mut S,
     ) {
         execute_into(g, &self.current, ctx, &mut self.run_scratch);
         self.contexts_seen += 1;
@@ -421,11 +421,11 @@ impl Pib {
     /// [`observe_batch`](Self::observe_batch) with telemetry (see
     /// [`observe_with`](Self::observe_with)). Unlike the scalar paths the
     /// run scratch holds no meaningful results afterwards.
-    pub fn observe_batch_with(
+    pub fn observe_batch_with<S: MetricsSink + ?Sized>(
         &mut self,
         g: &InferenceGraph,
         batch: &ContextBatch,
-        sink: &mut dyn MetricsSink,
+        sink: &mut S,
     ) {
         let lanes = batch.lanes();
         let mut lane = 0usize;
@@ -512,7 +512,12 @@ impl Pib {
 
     /// [`absorb`](Self::absorb) with telemetry (see
     /// [`observe_with`](Self::observe_with)).
-    pub fn absorb_with(&mut self, g: &InferenceGraph, trace: &Trace, sink: &mut dyn MetricsSink) {
+    pub fn absorb_with<S: MetricsSink + ?Sized>(
+        &mut self,
+        g: &InferenceGraph,
+        trace: &Trace,
+        sink: &mut S,
+    ) {
         self.contexts_seen += 1;
         self.samples_here += 1;
         sink.counter("core.pib.contexts", 1);
@@ -535,7 +540,7 @@ impl Pib {
 
     /// Figure 3's acceptance test: `i ← i + |T(Θⱼ)|`, then climb to the
     /// first candidate satisfying Equation 6.
-    fn test_and_climb(&mut self, g: &InferenceGraph, sink: &mut dyn MetricsSink) {
+    fn test_and_climb<S: MetricsSink + ?Sized>(&mut self, g: &InferenceGraph, sink: &mut S) {
         if self.candidates.is_empty() {
             return;
         }
@@ -571,7 +576,7 @@ impl Pib {
             // rebuild_candidates replaces the whole vector, so the winner
             // can be moved out instead of cloning its strategy.
             let cand = self.candidates.swap_remove(idx);
-            sink.counter("core.pib.climbs", 1);
+            sink.counter(qpl_obs::names::core::PIB_CLIMBS, 1);
             if sink.enabled() {
                 sink.event(
                     "core.pib.climb",

@@ -55,9 +55,9 @@ impl RetrievalStats {
     /// observability snapshots report retrieval work without the solver
     /// hot loops ever touching a sink.
     pub fn emit_to(&self, sink: &mut dyn qpl_obs::MetricsSink) {
-        sink.counter("datalog.retrievals", self.retrievals);
+        sink.counter(qpl_obs::names::datalog::RETRIEVALS, self.retrievals);
         sink.counter("datalog.reductions", self.reductions);
-        sink.counter("datalog.table_hits", self.table_hits);
+        sink.counter(qpl_obs::names::datalog::TABLE_HITS, self.table_hits);
         sink.counter("datalog.table_misses", self.table_misses);
         sink.counter("datalog.tabled_answers_reused", self.tabled_answers_reused);
     }

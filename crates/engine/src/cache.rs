@@ -204,7 +204,7 @@ impl CrossContextCache {
     /// module header), so snapshots comparing them should come from
     /// serial runs.
     pub fn emit_to(&self, sink: &mut dyn qpl_obs::MetricsSink) {
-        sink.counter("engine.cross_context_cache.hits", self.stats.hits);
+        sink.counter(qpl_obs::names::engine::CROSS_CONTEXT_CACHE_HITS, self.stats.hits);
         sink.counter("engine.cross_context_cache.misses", self.stats.misses);
         sink.counter("engine.cross_context_cache.invalidations", self.stats.invalidations);
         sink.counter("engine.cross_context_cache.classes", self.entries.len() as u64);

@@ -47,7 +47,6 @@
 //! drained lanes masked out.
 
 use crate::context::{ArcOutcome, Context, RunOutcome};
-use crate::error::GraphError;
 use crate::graph::{ArcId, ArcKind, InferenceGraph};
 use crate::program::{StrategyProgram, NO_INDEX};
 
@@ -214,26 +213,12 @@ impl ContextBatch {
     ///
     /// # Panics
     /// Invariant assert: panics if `lanes` exceeds [`MAX_LANES`].
-    /// Internal hot paths size batches from [`LANES`]/[`MAX_LANES`]
-    /// themselves; code handling untrusted lane counts (a serving front
-    /// door) should use [`try_new`](Self::try_new).
+    /// Callers size batches from [`LANES`]/[`MAX_LANES`] themselves; the
+    /// serving front door bounds untrusted lane counts before a batch is
+    /// built (`parse_request` and the batcher's plane cut).
     pub fn new(arc_count: usize, lanes: usize) -> Self {
         let width = width_for_lanes(lanes);
         Self { planes: vec![0; arc_count * width], width, lanes }
-    }
-
-    /// Fallible [`new`](Self::new): rejects `lanes > MAX_LANES` with a
-    /// typed error instead of panicking.
-    ///
-    /// # Errors
-    /// [`GraphError::BatchShape`] if `lanes` exceeds [`MAX_LANES`].
-    pub fn try_new(arc_count: usize, lanes: usize) -> Result<Self, GraphError> {
-        if lanes > MAX_LANES {
-            return Err(GraphError::BatchShape(format!(
-                "{lanes} lanes exceed the {MAX_LANES} maximum"
-            )));
-        }
-        Ok(Self::new(arc_count, lanes))
     }
 
     /// Clears and resizes this batch in place (buffer-reuse counterpart
@@ -241,29 +226,13 @@ impl ContextBatch {
     ///
     /// # Panics
     /// Invariant assert: panics if `lanes` exceeds [`MAX_LANES`] (see
-    /// [`new`](Self::new); use [`try_reset`](Self::try_reset) on
-    /// untrusted input).
+    /// [`new`](Self::new)).
     pub fn reset(&mut self, arc_count: usize, lanes: usize) {
         let width = width_for_lanes(lanes);
         self.planes.clear();
         self.planes.resize(arc_count * width, 0);
         self.width = width;
         self.lanes = lanes;
-    }
-
-    /// Fallible [`reset`](Self::reset).
-    ///
-    /// # Errors
-    /// [`GraphError::BatchShape`] if `lanes` exceeds [`MAX_LANES`]; the
-    /// batch is left untouched on error.
-    pub fn try_reset(&mut self, arc_count: usize, lanes: usize) -> Result<(), GraphError> {
-        if lanes > MAX_LANES {
-            return Err(GraphError::BatchShape(format!(
-                "{lanes} lanes exceed the {MAX_LANES} maximum"
-            )));
-        }
-        self.reset(arc_count, lanes);
-        Ok(())
     }
 
     /// Number of arcs each lane covers.
@@ -322,8 +291,7 @@ impl ContextBatch {
     /// # Panics
     /// Invariant assert: panics if the context's arc count differs from
     /// the batch's — both must come from the same graph, which internal
-    /// callers guarantee by construction. Use
-    /// [`try_set_lane`](Self::try_set_lane) on untrusted input.
+    /// callers guarantee by construction.
     pub fn set_lane(&mut self, lane: usize, ctx: &Context) {
         assert_eq!(
             ctx.arc_count(),
@@ -337,29 +305,6 @@ impl ContextBatch {
         {
             write_bit(plane, bit, blocked);
         }
-    }
-
-    /// Fallible [`set_lane`](Self::set_lane).
-    ///
-    /// # Errors
-    /// [`GraphError::BatchShape`] if `lane` is not an occupied lane or
-    /// the context's arc count differs from the batch's.
-    pub fn try_set_lane(&mut self, lane: usize, ctx: &Context) -> Result<(), GraphError> {
-        if lane >= self.lanes {
-            return Err(GraphError::BatchShape(format!(
-                "lane {lane} outside the {} occupied lanes",
-                self.lanes
-            )));
-        }
-        if ctx.arc_count() != self.arc_count() {
-            return Err(GraphError::BatchShape(format!(
-                "context covers {} arcs but the batch covers {}",
-                ctx.arc_count(),
-                self.arc_count()
-            )));
-        }
-        self.set_lane(lane, ctx);
-        Ok(())
     }
 
     /// Copies lane `lane` out into a scalar context (resizing it to fit).
@@ -559,8 +504,7 @@ impl Default for BatchRun {
 /// # Panics
 /// Invariant assert: panics if `batch` was built for a different graph
 /// than `p`. Both always derive from the same `InferenceGraph` in
-/// internal callers; front doors validating untrusted shapes should use
-/// [`try_execute_batch`].
+/// every caller.
 pub fn execute_batch(
     p: &StrategyProgram,
     batch: &ContextBatch,
@@ -674,28 +618,6 @@ fn execute_batch_w<const W: usize>(
     run.succeeded
 }
 
-/// Fallible [`execute_batch`]: validates the batch/program arc counts
-/// instead of asserting.
-///
-/// # Errors
-/// [`GraphError::BatchShape`] if `batch` was built for a different
-/// graph than `p`; `run` is left in its previous state.
-pub fn try_execute_batch(
-    p: &StrategyProgram,
-    batch: &ContextBatch,
-    active: LaneMask,
-    run: &mut BatchRun,
-) -> Result<LaneMask, GraphError> {
-    if batch.arc_count() != p.arc_count() {
-        return Err(GraphError::BatchShape(format!(
-            "batch covers {} arcs but the program covers {}",
-            batch.arc_count(),
-            p.arc_count()
-        )));
-    }
-    Ok(execute_batch(p, batch, active, run))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,32 +679,6 @@ mod tests {
     #[should_panic(expected = "lanes exceed")]
     fn tail_mask_rejects_lanes_past_the_width() {
         let _ = tail_mask(1, 65);
-    }
-
-    #[test]
-    fn fallible_variants_reject_bad_shapes_without_panicking() {
-        let (g, _) = lcg_tree(4);
-        assert!(ContextBatch::try_new(g.arc_count(), MAX_LANES + 1).is_err());
-        let mut batch = ContextBatch::try_new(g.arc_count(), 8).unwrap();
-        assert!(batch.try_reset(g.arc_count(), MAX_LANES + 3).is_err());
-        assert_eq!(batch.lanes(), 8, "failed reset must leave the batch untouched");
-        let ctx = lcg_context(&g, 1);
-        assert!(batch.try_set_lane(9, &ctx).is_err(), "unoccupied lane");
-        let (g2, _) = lcg_tree(900);
-        assert_ne!(g2.arc_count(), g.arc_count(), "test needs distinct shapes");
-        let foreign = Context::all_open(&g2);
-        assert!(batch.try_set_lane(0, &foreign).is_err(), "foreign context");
-        batch.try_set_lane(0, &ctx).unwrap();
-        assert_eq!(batch.is_blocked(0, ArcId(0)), ctx.is_blocked(ArcId(0)));
-
-        let s = Strategy::left_to_right(&g);
-        let p = StrategyProgram::compile(&g, &s).unwrap();
-        let mut run = BatchRun::new();
-        let foreign_batch = ContextBatch::new(g2.arc_count(), 8);
-        assert!(try_execute_batch(&p, &foreign_batch, LaneMask::ALL, &mut run).is_err());
-        let ok = try_execute_batch(&p, &batch, LaneMask::ALL, &mut run).unwrap();
-        let mut direct = BatchRun::new();
-        assert_eq!(ok, execute_batch(&p, &batch, LaneMask::ALL, &mut direct));
     }
 
     #[test]

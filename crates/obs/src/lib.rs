@@ -22,8 +22,10 @@
 //!
 //! [`MemorySink`] aggregates everything in-process with deterministic
 //! (sorted) iteration order, and [`JsonSnapshot`] renders a
-//! schema-stable JSON document — hand-rolled, no serialization
-//! dependency — suitable for diffing across PRs next to `BENCH_*.json`.
+//! schema-stable JSON document suitable for diffing across PRs next to
+//! `BENCH_*.json`. The [`json`] module is the workspace's only JSON
+//! code: its reader, string escaper and renderers serve the wire
+//! protocol, the snapshot and every bench file alike.
 //!
 //! This crate depends on nothing (not even the rest of the workspace),
 //! so every qpl crate — including the bottom-layer Datalog substrate —
@@ -40,11 +42,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod memory;
 pub mod names;
 mod sink;
 
-pub use json::{JsonSnapshot, SCHEMA_VERSION};
+pub use json::{JsonSnapshot, JsonValue, SCHEMA_VERSION};
 pub use memory::{Event, MemorySink, SpanStats, ValueStats, DEFAULT_MAX_EVENTS};
 pub use sink::{MetricsSink, NoopSink, SpanTimer};

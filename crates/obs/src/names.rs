@@ -1,13 +1,15 @@
 //! Canonical metric-name constants for cross-crate telemetry.
 //!
 //! Most instrumented call sites live next to the subsystem they
-//! measure and use string literals in place (`"datalog.retrievals"`,
-//! `"core.pib.climbs"`, …). Names that cross a crate boundary — emitted
+//! measure and use string literals in place (`"datalog.reductions"`,
+//! `"core.pib.tests"`, …). Names that cross a crate boundary — emitted
 //! in one crate, asserted on or surfaced by another — live here instead,
-//! so producers and consumers cannot drift apart silently. The serving
-//! layer is the first such consumer: `qpl-serve` emits these and its
-//! `stats` endpoint (plus `bench_serve` and the CI smoke) read them back
-//! out of a [`JsonSnapshot`](crate::JsonSnapshot).
+//! so producers and consumers cannot drift apart silently: `qpl-serve`
+//! emits the `serve.*` names and its `stats` endpoint (plus
+//! `bench_serve`) reads them back out of a
+//! [`JsonSnapshot`](crate::JsonSnapshot), and the metrics-snapshot
+//! schema in `qpl-bench` requires the counters it names through these
+//! constants.
 
 /// Names emitted by the `qpl-serve` executor thread.
 pub mod serve {
@@ -72,6 +74,26 @@ pub mod cache {
     /// repaired because a KB delta's dependency footprint intersected
     /// theirs, rather than by a wholesale generation flush.
     pub const SELECTIVE_INVALIDATIONS: &str = "cache.selective_invalidations";
+}
+
+/// Names emitted by the Datalog substrate (`qpl-datalog`).
+pub mod datalog {
+    /// Counter: EDB retrievals the top-down solvers attempted.
+    pub const RETRIEVALS: &str = "datalog.retrievals";
+    /// Counter: subgoals answered from an existing answer table.
+    pub const TABLE_HITS: &str = "datalog.table_hits";
+}
+
+/// Names emitted by the query engine (`qpl-engine`).
+pub mod engine {
+    /// Counter: lookups the cross-context answer cache served warm.
+    pub const CROSS_CONTEXT_CACHE_HITS: &str = "engine.cross_context_cache.hits";
+}
+
+/// Names emitted by the learners (`qpl-core`).
+pub mod core {
+    /// Counter: strategy climbs PIB accepted.
+    pub const PIB_CLIMBS: &str = "core.pib.climbs";
 }
 
 /// Names emitted by the query planners: the statistics-free greedy
@@ -160,6 +182,10 @@ mod tests {
         assert!(super::plan::GREEDY_MICROS.starts_with("plan."));
         assert!(super::plan::MAGIC_RULES_GENERATED.starts_with("plan."));
         assert!(super::eval::MAGIC_FACTS_PRUNED.starts_with("eval."));
+        assert!(super::datalog::RETRIEVALS.starts_with("datalog."));
+        assert!(super::datalog::TABLE_HITS.starts_with("datalog."));
+        assert!(super::engine::CROSS_CONTEXT_CACHE_HITS.starts_with("engine."));
+        assert!(super::core::PIB_CLIMBS.starts_with("core."));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! strategy online per shard, merging accepted climbs across shards
 //! through a fingerprint-published strategy board (see [`server`]).
 //!
-//! Everything is `std`-only: sockets, threads, JSON parsing and
-//! rendering are hand-rolled, so the crate adds no dependency surface
-//! beyond the workspace's own crates.
+//! Everything is `std`-only: sockets and threads are hand-rolled, and
+//! JSON goes through `qpl-obs`'s one JSON module, so the crate adds no
+//! dependency surface beyond the workspace's own crates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
