@@ -40,7 +40,9 @@ use qpl_datalog::{Database, DatalogError, RuleBase, Symbol};
 use qpl_graph::compile::{ArcBinding, CompiledGraph};
 use qpl_graph::context::Context;
 use qpl_graph::strategy::Strategy;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// The set of database predicates a cached computation can read — its
 /// *dependency footprint*. A delta on a predicate outside the footprint
@@ -307,26 +309,35 @@ impl CrossContextCache {
     }
 }
 
-/// Whole-run memoization for a fixed-strategy query processor: maps the
-/// query's bound constants to its `(answer, cost)` pair, valid for one
-/// ⟨database generation, strategy⟩ pair at a time.
+/// A memo valid for one ⟨database instance, generation, strategy
+/// fingerprint⟩ window at a time: the validity stamp and invalidation
+/// count shared by [`RunCache`] (keyed by bound constants) and
+/// `qpl-serve`'s per-shard answer memo (keyed by query text, holding
+/// rendered reply fragments).
 ///
-/// Used by `QueryProcessor::run_cost_cached`; see there for the wiring.
-#[derive(Debug, Clone, Default)]
-pub struct RunCache {
+/// Revalidating against a new window drops every entry and counts one
+/// invalidation; lookups count hits and misses.
+#[derive(Debug, Clone)]
+pub struct Memo<K, V> {
     /// `(database instance, scoped generation, strategy fingerprint)` the
-    /// map is valid for; `None` until the first run. The generation slot
-    /// holds the *global* generation under [`revalidate`](Self::revalidate)
-    /// and the footprint-scoped generation under
-    /// [`revalidate_scoped`](Self::revalidate_scoped); use one mode
-    /// consistently per cache.
+    /// map is valid for; `None` until the first revalidation. The
+    /// generation slot holds the *global* generation under
+    /// [`revalidate`](Self::revalidate) and the footprint-scoped
+    /// generation under [`revalidate_scoped`](Self::revalidate_scoped);
+    /// use one mode consistently per memo.
     validity: Option<(u64, u64, u64)>,
-    map: HashMap<Vec<Symbol>, (QueryAnswer, f64)>,
+    map: HashMap<K, V>,
     stats: CacheStats,
 }
 
-impl RunCache {
-    /// An empty cache.
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Self { validity: None, map: HashMap::new(), stats: CacheStats::default() }
+    }
+}
+
+impl<K: Hash + Eq, V> Memo<K, V> {
+    /// An empty memo.
     pub fn new() -> Self {
         Self::default()
     }
@@ -336,26 +347,17 @@ impl RunCache {
         self.stats
     }
 
-    /// Emit the lifetime counters (plus the live entry count) into a
-    /// [`MetricsSink`](qpl_obs::MetricsSink) under `engine.run_cache.*`.
-    pub fn emit_to(&self, sink: &mut dyn qpl_obs::MetricsSink) {
-        sink.counter("engine.run_cache.hits", self.stats.hits);
-        sink.counter("engine.run_cache.misses", self.stats.misses);
-        sink.counter("engine.run_cache.invalidations", self.stats.invalidations);
-        sink.counter("engine.run_cache.entries", self.map.len() as u64);
-    }
-
-    /// Number of memoized runs currently valid.
+    /// Number of entries currently valid.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether no run is currently memoized.
+    /// Whether no entry is currently valid.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
-    /// Drops memoized runs if the database (instance or generation) or
+    /// Drops every entry if the database (instance or generation) or
     /// strategy changed since they were recorded. Any delta invalidates —
     /// for footprint-selective survival use
     /// [`revalidate_scoped`](Self::revalidate_scoped).
@@ -363,11 +365,10 @@ impl RunCache {
         self.revalidate_key((db.instance_id(), db.generation(), strategy_fp));
     }
 
-    /// Footprint-scoped revalidation: drops memoized runs only when the
+    /// Footprint-scoped revalidation: drops every entry only when the
     /// database instance, the strategy, or a *footprint predicate*
     /// changed. Deltas on predicates the strategy's compiled graph never
-    /// retrieves leave the memo warm — the selective-invalidation path
-    /// used by `QueryProcessor::run_cost_cached`.
+    /// retrieves leave the memo warm.
     pub fn revalidate_scoped(
         &mut self,
         db: &Database,
@@ -387,9 +388,11 @@ impl RunCache {
         }
     }
 
-    /// The memoized run for a query with these bound constants, if any.
-    /// Call [`revalidate`](Self::revalidate) first.
-    pub fn get(&mut self, key: &[Symbol]) -> Option<&(QueryAnswer, f64)> {
+    /// The entry under `key`, if any. Revalidate first.
+    pub fn get<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         let found = self.map.get(key);
         if found.is_some() {
             self.stats.hits += 1;
@@ -399,9 +402,75 @@ impl RunCache {
         found
     }
 
+    /// Records an entry under the current validity window.
+    pub fn insert(&mut self, key: K, value: V) {
+        self.map.insert(key, value);
+    }
+
+    /// Drops every entry without moving the validity window or counting
+    /// an invalidation (the entries were still valid: a capacity
+    /// eviction, not staleness). Returns how many were dropped.
+    pub fn clear(&mut self) -> usize {
+        let dropped = self.map.len();
+        self.map.clear();
+        dropped
+    }
+}
+
+/// Whole-run memoization for a fixed-strategy query processor: maps the
+/// query's bound constants to its `(answer, cost)` pair, valid for one
+/// ⟨database generation, strategy⟩ pair at a time (a [`Memo`]).
+///
+/// Used by `QueryProcessor::run_cost_cached`; see there for the wiring.
+#[derive(Debug, Clone, Default)]
+pub struct RunCache(Memo<Vec<Symbol>, (QueryAnswer, f64)>);
+
+impl RunCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lifetime hit/miss/invalidation counters.
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
+    }
+
+    /// Number of memoized runs currently valid.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no run is currently memoized.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// [`Memo::revalidate`]: any delta invalidates.
+    pub fn revalidate(&mut self, db: &Database, strategy_fp: u64) {
+        self.0.revalidate(db, strategy_fp);
+    }
+
+    /// [`Memo::revalidate_scoped`]: the selective-invalidation path used
+    /// by `QueryProcessor::run_cost_cached`.
+    pub fn revalidate_scoped(
+        &mut self,
+        db: &Database,
+        footprint: &DependencyFootprint,
+        strategy_fp: u64,
+    ) {
+        self.0.revalidate_scoped(db, footprint, strategy_fp);
+    }
+
+    /// The memoized run for a query with these bound constants, if any.
+    /// Call [`revalidate`](Self::revalidate) first.
+    pub fn get(&mut self, key: &[Symbol]) -> Option<&(QueryAnswer, f64)> {
+        self.0.get(key)
+    }
+
     /// Records a run under the current validity window.
     pub fn insert(&mut self, key: Vec<Symbol>, answer: QueryAnswer, cost: f64) {
-        self.map.insert(key, (answer, cost));
+        self.0.insert(key, (answer, cost));
     }
 }
 

@@ -44,7 +44,7 @@ pub mod segmented;
 pub use adaptive::{AdaptiveQp, SamplingMode};
 pub use cache::{
     context_fingerprint, strategy_fingerprint, CacheStats, CrossContextCache, DependencyFootprint,
-    RunCache,
+    Memo, RunCache,
 };
 pub use magic::{MagicAnswer, MagicRunner};
 pub use oracle::{ContextOracle, QueryMixOracle};

@@ -120,6 +120,35 @@ impl JsonValue {
         }
     }
 
+    /// Moves the value of the first member named `key` out of an object,
+    /// leaving `null` in its place (so a later duplicate of the key never
+    /// surfaces, as with [`get`](Self::get)).
+    pub fn take(&mut self, key: &str) -> Option<JsonValue> {
+        match self {
+            JsonValue::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, JsonValue::Null)),
+            _ => None,
+        }
+    }
+
+    /// The owned string, if this is a string.
+    pub fn into_string(self) -> Option<String> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The owned elements, if this is an array.
+    pub fn into_array(self) -> Option<Vec<JsonValue>> {
+        match self {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
     /// One line with no whitespace, for line-delimited protocols.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
@@ -584,6 +613,17 @@ mod tests {
         let arr = v.get("a").and_then(JsonValue::as_array).unwrap();
         assert_eq!(arr[1], JsonValue::Num(2.0));
         assert_eq!(arr[2].get("b").and_then(JsonValue::as_str), Some("c"));
+        // `take` moves the first duplicate out, like `get` reads it, and
+        // never lets a later duplicate surface in its place.
+        let mut dup = JsonValue::parse(r#"{"q":"one","q":"two","a":[true]}"#).unwrap();
+        assert_eq!(dup.take("q").and_then(JsonValue::into_string), Some("one".to_string()));
+        assert_eq!(dup.take("q"), Some(JsonValue::Null));
+        assert_eq!(
+            dup.take("a").and_then(JsonValue::into_array),
+            Some(vec![JsonValue::Bool(true)])
+        );
+        assert_eq!(dup.take("z"), None);
+        assert_eq!(JsonValue::Num(1.0).take("q"), None);
     }
 
     #[test]

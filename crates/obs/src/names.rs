@@ -34,8 +34,11 @@ pub mod serve {
     /// plane — the load-adaptive plane-width distribution.
     pub const PLANE_WIDTH: &str = "serve.plane_width";
     /// Span: wall-clock time of one plane from cut to the last reply
-    /// sent (memo probe + classify + run + render + respond). Ends
-    /// where [`SERVICE_US`] ends, so their difference is queue wait.
+    /// sent: the text-keyed memo probe (hits copy their stored
+    /// fragment), then for misses query parse + classify + run + render
+    /// once, then reply assembly (envelope plus fragments) and respond.
+    /// Ends where [`SERVICE_US`] ends, so their difference is queue
+    /// wait.
     pub const EXEC: &str = "serve.exec";
     /// Span: the adaptation step after a plane's replies have left
     /// (`Pib::observe_batch`, plus publishing and journaling an
@@ -45,8 +48,17 @@ pub mod serve {
     /// every reply of its plane sent).
     pub const SERVICE_US: &str = "serve.service_us";
     /// Counter: lanes answered from the per-shard answer memo without
-    /// occupying plane capacity.
+    /// occupying plane capacity. The memo is keyed by the query text as
+    /// received and holds the lane's rendered result object, so a hit
+    /// is one hash lookup and a fragment copy: no query parse, no
+    /// interning, no witness formatting.
     pub const CACHE_HITS: &str = "serve.cache.hits";
+    /// Counter: answer-memo entries dropped because the memo reached its
+    /// fixed capacity (`qpl_serve::MEMO_CAPACITY`); a full memo is
+    /// cleared whole. Staleness flushes count under
+    /// [`cache::SELECTIVE_INVALIDATIONS`](super::cache::SELECTIVE_INVALIDATIONS)
+    /// instead.
+    pub const MEMO_EVICTIONS: &str = "serve.memo.evictions";
     /// Counter: locally accepted strategy climbs this shard published
     /// to its peers via the strategy board.
     pub const SHARD_PUBLISHED: &str = "serve.shard.published";
@@ -162,6 +174,7 @@ mod tests {
             super::serve::LEARN,
             super::serve::SERVICE_US,
             super::serve::CACHE_HITS,
+            super::serve::MEMO_EVICTIONS,
             super::serve::SHARD_PUBLISHED,
             super::serve::SHARD_ADOPTIONS,
             super::serve::SHARD_STEER_FALLBACKS,

@@ -23,7 +23,10 @@ pub mod server;
 pub mod wire;
 
 pub use batcher::{Batcher, LaneWeight};
-pub use server::{fallback_shard, steer_shard, ServeEngine, Server, ServerConfig};
+pub use server::{
+    fallback_shard, steer_shard, ServeEngine, Server, ServerConfig, MEMO_CAPACITY,
+    MEMO_MAX_ENTRY_BYTES,
+};
 pub use wire::{
     parse_request, JsonValue, LaneResult, Request, ShardStatsView, StatsView, WIRE_VERSION,
 };

@@ -19,13 +19,14 @@
 //!   learner, metrics sink, and service-time ring. A shard is
 //!   work-conserving: it sleeps on its own condvar only while its
 //!   [`Batcher`] and control queue are both empty. When it wakes it
-//!   cuts everything queued (up to 512 lanes), classifies each query
-//!   into its Note-2 context, executes the plane bit-parallel, and
-//!   responds to every job; only then does it feed the served contexts
-//!   to `Pib::observe_batch` (and publish or journal a climb), still
-//!   before the next cut. Nothing engine-shaped is shared between
-//!   shards, so the hot path takes no lock any other shard can hold
-//!   and engine internals need no `Sync`.
+//!   cuts everything queued (up to 512 lanes), answers each lane whose
+//!   query text is in its answer memo straight from the memoized reply
+//!   fragment, classifies every other query into its Note-2 context,
+//!   executes the plane bit-parallel, and responds to every job; only
+//!   then does it feed the served contexts to `Pib::observe_batch` (and
+//!   publish or journal a climb), still before the next cut. Nothing
+//!   engine-shaped is shared between shards, so the hot path takes no
+//!   lock any other shard can hold and engine internals need no `Sync`.
 //!
 //! ## Steering
 //!
@@ -67,6 +68,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -75,7 +77,7 @@ use std::time::{Duration, Instant};
 use qpl_core::{CandidateState, ClimbState, Pib, PibConfig, PibState};
 use qpl_datalog::parser::{parse_program, parse_query, parse_query_form};
 use qpl_datalog::{Atom, Database, Fact, Symbol, SymbolTable, Term};
-use qpl_engine::cache::{DependencyFootprint, RunCache};
+use qpl_engine::cache::{DependencyFootprint, Memo};
 use qpl_engine::qp::{classify_context_into, BatchScratch, QueryAnswer, QueryProcessor};
 use qpl_graph::batch::{width_for_lanes, LANES, MAX_LANES};
 use qpl_graph::compile::{compile, CompileOptions, CompiledGraph};
@@ -93,6 +95,19 @@ use rand::SeedableRng;
 
 use crate::batcher::{Batcher, LaneWeight};
 use crate::wire::{self, LaneResult, Request, ShardStatsView, StatsView};
+
+/// Most entries one shard's answer memo holds. Keys are query texts as
+/// received, so spelling variants of one query (`q0(c3)`, ` q0( c3 )`)
+/// each take an entry; a shard that reaches the cap drops the whole memo
+/// (counted in [`qpl_obs::names::serve::MEMO_EVICTIONS`]) and refills it
+/// from the traffic that follows.
+pub const MEMO_CAPACITY: usize = 4096;
+
+/// Longest lane, query text plus rendered result in bytes, the answer
+/// memo keeps. Longer lanes are served as misses every time, so a
+/// shard's memoized bytes stay under `MEMO_CAPACITY` × this (4 MiB)
+/// whatever texts clients send.
+pub const MEMO_MAX_ENTRY_BYTES: usize = 1024;
 
 /// Server tuning knobs. `Default` suits tests and small deployments.
 #[derive(Debug, Clone)]
@@ -681,9 +696,11 @@ pub fn fallback_shard(depths: &[usize], home: usize) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-fn write_line(mut stream: &TcpStream, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+/// Sends `line` and its newline in one write: one syscall and, with
+/// Nagle off, one segment, so a client never wakes on half a line.
+fn write_line(mut stream: &TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 fn accept_loop(listener: &TcpListener, cfg: &ServerConfig, shared: &Arc<Shared>) {
@@ -701,7 +718,7 @@ fn accept_loop(listener: &TcpListener, cfg: &ServerConfig, shared: &Arc<Shared>)
                 if stopping {
                     let _ = write_line(
                         &stream,
-                        &wire::render_error("shutting_down", "server is draining", None),
+                        wire::render_error("shutting_down", "server is draining", None),
                     );
                     continue;
                 }
@@ -710,7 +727,7 @@ fn accept_loop(listener: &TcpListener, cfg: &ServerConfig, shared: &Arc<Shared>)
                     // proper response, then close.
                     let _ = write_line(
                         &stream,
-                        &wire::render_error("overloaded", "connection limit reached", None),
+                        wire::render_error("overloaded", "connection limit reached", None),
                     );
                     continue;
                 }
@@ -813,12 +830,12 @@ fn handle_connection(stream: &TcpStream, cfg: &ServerConfig, shared: &Shared) {
                 }
                 match handle_line(&line, shared) {
                     Reply::Line(resp) => {
-                        if write_line(stream, &resp).is_err() {
+                        if write_line(stream, resp).is_err() {
                             break;
                         }
                     }
                     Reply::Bye(resp) => {
-                        let _ = write_line(stream, &resp);
+                        let _ = write_line(stream, resp);
                         break;
                     }
                     Reply::Closed => break,
@@ -827,7 +844,7 @@ fn handle_connection(stream: &TcpStream, cfg: &ServerConfig, shared: &Shared) {
             LineEvent::TooLong => {
                 let _ = write_line(
                     stream,
-                    &wire::render_error("bad_request", "line exceeds max_line_bytes", None),
+                    wire::render_error("bad_request", "line exceeds max_line_bytes", None),
                 );
                 break;
             }
@@ -1179,16 +1196,19 @@ struct Executor<'g> {
     current_fp: u64,
     /// Last strategy-board epoch this shard acted on.
     board_seen: u64,
-    /// Per-shard answer memo, probed per lane before classification.
-    /// Footprint-scoped revalidation keeps it warm across KB deltas
-    /// that miss the compiled graph's retrieval predicates.
-    run_cache: RunCache,
+    /// Per-shard answer memo: query text as received → the lane's
+    /// rendered result object. Probed per lane before any parsing; a
+    /// hit is the reply fragment itself. Footprint-scoped revalidation
+    /// keeps it warm across KB deltas that miss the compiled graph's
+    /// retrieval predicates. Holds at most [`MEMO_CAPACITY`] entries of
+    /// at most [`MEMO_MAX_ENTRY_BYTES`] each.
+    memo: Memo<String, Rc<str>>,
     /// The retrieval predicates this shard's compiled graph can probe —
     /// the memo's invalidation scope.
     footprint: DependencyFootprint,
-    /// `run_cache.stats().invalidations` already emitted as the
+    /// `memo.stats().invalidations` already emitted as the
     /// selective-invalidation counter.
-    rc_invalidations_seen: u64,
+    memo_invalidations_seen: u64,
     /// The durable store; only shard 0 holds one. Updates journal here
     /// before they apply, strategies journal on climb/adoption, and
     /// `checkpoint` snapshots through it.
@@ -1218,13 +1238,14 @@ struct Executor<'g> {
     ring: ServiceRing,
     // Plane-assembly buffers, reused across planes.
     atoms: Vec<Atom>,
-    /// Memo key per executed lane, parallel to `atoms`; results insert
-    /// back into `run_cache` after the plane runs.
-    keys: Vec<Vec<Symbol>>,
-    slots: Vec<(usize, usize)>,
+    /// Per executed lane, parallel to `atoms`: (job, query within the
+    /// job, index into `frags`).
+    slots: Vec<(usize, usize, usize)>,
     scratch: BatchScratch,
     lane_out: Vec<(QueryAnswer, f64)>,
-    results: Vec<Vec<Option<LaneResult>>>,
+    /// Every lane's rendered result object, in job order; executed
+    /// lanes are filled once the plane has run.
+    frags: Vec<Option<Rc<str>>>,
 }
 
 fn executor_loop(
@@ -1261,9 +1282,9 @@ fn executor_loop(
         board_seen: 0,
         qp,
         pib,
-        run_cache: RunCache::new(),
+        memo: Memo::new(),
         footprint: DependencyFootprint::of_compiled(&compiled),
-        rc_invalidations_seen: 0,
+        memo_invalidations_seen: 0,
         store: init.store,
         store_degraded: false,
         records_replayed: init.records_replayed,
@@ -1280,11 +1301,10 @@ fn executor_loop(
         declined_emitted: 0,
         ring: ServiceRing::new(4096),
         atoms: Vec::new(),
-        keys: Vec::new(),
         slots: Vec::new(),
         scratch: BatchScratch::new(&compiled.graph),
         lane_out: Vec::new(),
-        results: Vec::new(),
+        frags: Vec::new(),
         compiled: &compiled,
     };
     if ex.store.is_some() {
@@ -1496,7 +1516,7 @@ impl Executor<'_> {
         // Footprint-scoped revalidation: the answer memo goes cold only
         // when the delta touched a predicate this shard's compiled
         // graph actually retrieves.
-        self.revalidate_run_cache();
+        self.revalidate_memo();
         UpdateAck { inserted, retracted, deltas_applied: self.deltas_applied }
     }
 
@@ -1586,13 +1606,13 @@ impl Executor<'_> {
     /// database + strategy, counting any flush as a selective
     /// invalidation (the validity key is footprint-scoped, so only
     /// relevant deltas can move it).
-    fn revalidate_run_cache(&mut self) {
-        self.run_cache.revalidate_scoped(&self.db, &self.footprint, self.current_fp);
-        let inv = self.run_cache.stats().invalidations;
-        if inv > self.rc_invalidations_seen {
+    fn revalidate_memo(&mut self) {
+        self.memo.revalidate_scoped(&self.db, &self.footprint, self.current_fp);
+        let inv = self.memo.stats().invalidations;
+        if inv > self.memo_invalidations_seen {
             self.sink
-                .counter(cache_names::SELECTIVE_INVALIDATIONS, inv - self.rc_invalidations_seen);
-            self.rc_invalidations_seen = inv;
+                .counter(cache_names::SELECTIVE_INVALIDATIONS, inv - self.memo_invalidations_seen);
+            self.memo_invalidations_seen = inv;
         }
     }
 
@@ -1627,7 +1647,8 @@ impl Executor<'_> {
         }
     }
 
-    /// Serves one cut plane: classify every query into a lane, execute
+    /// Serves one cut plane: answer memoized query texts from their
+    /// stored fragments, classify every other query into a lane, execute
     /// the plane bit-parallel (bit-identical to scalar runs), and
     /// respond to every job. Only once every reply has left does the
     /// plane feed the adaptation loop ([`Executor::learn`]), so PIB's
@@ -1636,59 +1657,50 @@ impl Executor<'_> {
     /// strategy.
     fn process_plane(&mut self, jobs: &mut Vec<(Job, Instant)>, shared: &Shared) {
         let t0 = Instant::now();
-        self.results.clear();
-        self.results.extend(jobs.iter().map(|(job, _)| vec![None; job.texts.len()]));
         self.atoms.clear();
-        self.keys.clear();
         self.slots.clear();
         // One revalidation per plane: deltas apply between planes, so
         // every lane probes the memo under the same validity key.
-        self.revalidate_run_cache();
+        self.revalidate_memo();
         let mut lanes = 0usize;
         let mut cache_hits = 0u64;
         let mut plane_errors = 0u64;
         for (ji, (job, _)) in jobs.iter().enumerate() {
             for (si, text) in job.texts.iter().enumerate() {
-                let parsed = parse_query(text, &mut self.table).map_err(|e| e.to_string());
-                // Memo probe before classification: a warm hit answers
-                // the lane (bit-identical answer and cost, memoized from
-                // an earlier plane) without occupying plane capacity.
-                if let Ok(atom) = &parsed {
-                    if self.compiled.form.matches(atom) {
-                        let key = self.compiled.form.bound_constants(atom);
-                        if let Some((answer, cost)) = self.run_cache.get(&key) {
-                            self.results[ji][si] = Some(match answer {
-                                QueryAnswer::Yes(w) => LaneResult::Yes {
-                                    witness: w.display(&self.table).to_string(),
-                                    cost: *cost,
-                                },
-                                QueryAnswer::No => LaneResult::No { cost: *cost },
-                            });
-                            cache_hits += 1;
-                            continue;
-                        }
-                    }
+                // Memo probe on the text as received: a hit is the
+                // lane's reply fragment (bit-identical answer and cost,
+                // memoized from an earlier plane), served without a
+                // parse, an intern or a render. A memoized text always
+                // parses to the same atom, since the symbol table only
+                // grows, and texts that fail are never memoized.
+                if let Some(frag) = self.memo.get(text.as_str()) {
+                    self.frags.push(Some(Rc::clone(frag)));
+                    cache_hits += 1;
+                    continue;
                 }
-                let classified = parsed.and_then(|atom| {
-                    classify_context_into(
-                        self.compiled,
-                        &atom,
-                        &self.db,
-                        self.scratch.pool_context(self.g, lanes),
-                    )
-                    .map(|()| atom)
+                let classified = parse_query(text, &mut self.table)
                     .map_err(|e| e.to_string())
-                });
+                    .and_then(|atom| {
+                        classify_context_into(
+                            self.compiled,
+                            &atom,
+                            &self.db,
+                            self.scratch.pool_context(self.g, lanes),
+                        )
+                        .map(|()| atom)
+                        .map_err(|e| e.to_string())
+                    });
                 match classified {
                     Ok(atom) => {
-                        self.keys.push(self.compiled.form.bound_constants(&atom));
                         self.atoms.push(atom);
-                        self.slots.push((ji, si));
+                        self.slots.push((ji, si, self.frags.len()));
+                        self.frags.push(None);
                         lanes += 1;
                     }
                     Err(detail) => {
                         plane_errors += 1;
-                        self.results[ji][si] = Some(LaneResult::Error { detail });
+                        let frag = wire::render_lane(&LaneResult::Error { detail });
+                        self.frags.push(Some(frag.into()));
                     }
                 }
             }
@@ -1702,16 +1714,28 @@ impl Executor<'_> {
                 .run_classified_batch(&self.atoms, &self.db, batch, run, scalar, &mut self.lane_out)
                 .expect("plane is assembled against the shard's own graph");
             for (lane, (answer, cost)) in self.lane_out.iter().enumerate() {
-                let (ji, si) = self.slots[lane];
-                self.results[ji][si] = Some(match answer {
+                let (ji, si, fi) = self.slots[lane];
+                let result = match answer {
                     QueryAnswer::Yes(atom) => LaneResult::Yes {
                         witness: atom.display(&self.table).to_string(),
                         cost: *cost,
                     },
                     QueryAnswer::No => LaneResult::No { cost: *cost },
-                });
-                // Memoize for later planes (and revalidated deltas).
-                self.run_cache.insert(std::mem::take(&mut self.keys[lane]), answer.clone(), *cost);
+                };
+                // Rendered once: the reply bytes and the memo value for
+                // later planes (and revalidated deltas). The job's text
+                // is not needed past this point, so it moves into the
+                // memo as the key.
+                let frag: Rc<str> = wire::render_lane(&result).into();
+                self.frags[fi] = Some(Rc::clone(&frag));
+                let text = &mut jobs[ji].0.texts[si];
+                if text.len() + frag.len() <= MEMO_MAX_ENTRY_BYTES {
+                    if self.memo.len() >= MEMO_CAPACITY {
+                        let dropped = self.memo.clear();
+                        self.sink.counter(names::MEMO_EVICTIONS, dropped as u64);
+                    }
+                    self.memo.insert(std::mem::take(text), frag);
+                }
             }
             let width = width_for_lanes(lanes);
             self.served += lanes as u64;
@@ -1735,18 +1759,19 @@ impl Executor<'_> {
             self.errors += plane_errors;
             self.sink.counter(names::ERRORS, plane_errors);
         }
-        for ((job, _), row) in jobs.iter().zip(self.results.drain(..)) {
-            let filled: Vec<LaneResult> =
-                row.into_iter().map(|r| r.expect("every lane filled")).collect();
-            let line = if job.batch {
-                wire::render_answers(&filled, job.id)
-            } else {
-                wire::render_answer(&filled[0], job.id)
-            };
+        let mut frags = self.frags.drain(..);
+        for (job, _) in jobs.iter() {
+            let row = frags.by_ref().take(job.texts.len());
+            let line = wire::render_fragments(
+                row.map(|f| f.expect("every lane filled")),
+                job.batch,
+                job.id,
+            );
             // A send error means the client hung up; the work is done
             // either way.
             let _ = job.resp.send(line);
         }
+        drop(frags);
         let done = Instant::now();
         self.sink.span_ns(names::EXEC, done.duration_since(t0).as_nanos() as u64);
         for (_, enqueued) in jobs.drain(..) {

@@ -65,7 +65,9 @@
 //! public front door must refuse is refused with a message, never a
 //! panic). Responses are written straight into a `String` with that
 //! module's string escaper and number writer, with no value tree on the
-//! hot path.
+//! hot path. `answer`/`answers` lines are assembled from per-lane
+//! result objects ([`render_lane`], [`render_fragments`]), which a shard
+//! memoizes and reuses verbatim.
 
 use std::fmt::Write as _;
 
@@ -127,55 +129,53 @@ pub enum Request {
     Shutdown,
 }
 
-/// Extracts an optional array-of-strings field for `update`.
-fn fact_list(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
-    match v.get(key) {
+/// Moves an optional array-of-strings field out of an `update`.
+fn fact_list(v: &mut JsonValue, key: &str) -> Result<Vec<String>, String> {
+    match v.take(key) {
         None => Ok(Vec::new()),
         Some(arr) => arr
-            .as_array()
+            .into_array()
             .ok_or_else(|| format!("\"{key}\" must be an array of fact strings"))?
-            .iter()
-            .map(|f| {
-                f.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("\"{key}\" entries must be strings"))
-            })
+            .into_iter()
+            .map(|f| f.into_string().ok_or_else(|| format!("\"{key}\" entries must be strings")))
             .collect(),
     }
 }
 
 /// Parses one request line. `max_batch` bounds `"qs"`; the server passes
 /// the 64-lane plane width, so a batch request never spans two planes.
+/// Query and fact strings are moved out of the parsed document, never
+/// copied.
 ///
 /// # Errors
 /// A detail string suitable for a `bad_request` response.
 pub fn parse_request(line: &str, max_batch: usize) -> Result<Request, String> {
-    let v = JsonValue::parse(line)?;
+    let mut v = JsonValue::parse(line)?;
     let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
+        .take("kind")
+        .and_then(JsonValue::into_string)
         .ok_or_else(|| "missing string field \"kind\"".to_string())?;
     let id = match v.get("id") {
         None => None,
         Some(JsonValue::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_ID => Some(*n as u64),
         Some(_) => return Err("\"id\" must be an integer in 0..=2^53-1".to_string()),
     };
-    match kind {
+    match kind.as_str() {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
         "checkpoint" => Ok(Request::Checkpoint { id }),
         "query" => {
             let q = v
-                .get("q")
-                .and_then(JsonValue::as_str)
+                .take("q")
+                .and_then(JsonValue::into_string)
                 .ok_or_else(|| "query needs a string field \"q\"".to_string())?;
-            Ok(Request::Query { q: q.to_string(), id })
+            Ok(Request::Query { q, id })
         }
         "batch" => {
             let qs = v
-                .get("qs")
-                .and_then(JsonValue::as_array)
+                .take("qs")
+                .and_then(JsonValue::into_array)
                 .ok_or_else(|| "batch needs an array field \"qs\"".to_string())?;
             if qs.is_empty() {
                 return Err("\"qs\" must be non-empty".to_string());
@@ -184,18 +184,16 @@ pub fn parse_request(line: &str, max_batch: usize) -> Result<Request, String> {
                 return Err(format!("\"qs\" exceeds the {max_batch}-query batch limit"));
             }
             let texts = qs
-                .iter()
+                .into_iter()
                 .map(|q| {
-                    q.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "\"qs\" entries must be strings".to_string())
+                    q.into_string().ok_or_else(|| "\"qs\" entries must be strings".to_string())
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Request::Batch { qs: texts, id })
         }
         "update" => {
-            let insert = fact_list(&v, "insert")?;
-            let retract = fact_list(&v, "retract")?;
+            let insert = fact_list(&mut v, "insert")?;
+            let retract = fact_list(&mut v, "retract")?;
             if insert.is_empty() && retract.is_empty() {
                 return Err("update needs a non-empty \"insert\" or \"retract\"".to_string());
             }
@@ -367,6 +365,56 @@ fn push_lane(out: &mut String, r: &LaneResult) {
     }
 }
 
+/// One lane's result object, e.g.
+/// `{"answer":"yes","witness":"q0(c3)","cost":14}` — the fragment an
+/// `answer` or `answers` line embeds, rendered once and reusable (the
+/// shard memo stores it as the value served on a hit).
+pub fn render_lane(result: &LaneResult) -> String {
+    let mut out = String::with_capacity(64);
+    push_lane(&mut out, result);
+    out
+}
+
+/// The one `answer` / `answers` envelope writer: `answers` with a
+/// `results` array when `batch`, else `answer` with the single `result`
+/// (`lanes` then yields exactly one item). `push` writes one lane's
+/// object.
+fn render_reply<T>(
+    lanes: impl ExactSizeIterator<Item = T>,
+    batch: bool,
+    id: Option<u64>,
+    push: impl Fn(&mut String, T),
+) -> String {
+    let mut out = String::with_capacity(64 + 64 * lanes.len());
+    if batch {
+        push_envelope(&mut out, "answers", id);
+        out.push_str(",\"results\":[");
+    } else {
+        push_envelope(&mut out, "answer", id);
+        out.push_str(",\"result\":");
+    }
+    for (i, lane) in lanes.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(&mut out, lane);
+    }
+    out.push_str(if batch { "]}" } else { "}" });
+    out
+}
+
+/// `answer` (one fragment, `batch == false`) or `answers` (`batch`)
+/// response line from lane fragments as [`render_lane`] writes them,
+/// concatenated verbatim in order.
+pub fn render_fragments<S: AsRef<str>>(
+    fragments: impl ExactSizeIterator<Item = S>,
+    batch: bool,
+    id: Option<u64>,
+) -> String {
+    debug_assert!(batch || fragments.len() == 1, "an `answer` line carries one result");
+    render_reply(fragments, batch, id, |out, f| out.push_str(f.as_ref()))
+}
+
 /// `pong` response line.
 pub fn render_pong() -> String {
     format!("{{\"v\":{WIRE_VERSION},\"kind\":\"pong\"}}")
@@ -392,12 +440,7 @@ pub fn render_error(code: &str, detail: &str, id: Option<u64>) -> String {
 
 /// `answer` response line for a single query.
 pub fn render_answer(result: &LaneResult, id: Option<u64>) -> String {
-    let mut out = String::with_capacity(96);
-    push_envelope(&mut out, "answer", id);
-    out.push_str(",\"result\":");
-    push_lane(&mut out, result);
-    out.push('}');
-    out
+    render_reply(std::iter::once(result), false, id, push_lane)
 }
 
 /// `updated` response line: how many facts actually changed the
@@ -438,17 +481,7 @@ pub fn render_checkpointed(
 
 /// `answers` response line for a batch, one result per query in order.
 pub fn render_answers(results: &[LaneResult], id: Option<u64>) -> String {
-    let mut out = String::with_capacity(64 + 64 * results.len());
-    push_envelope(&mut out, "answers", id);
-    out.push_str(",\"results\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_lane(&mut out, r);
-    }
-    out.push_str("]}");
-    out
+    render_reply(results.iter(), true, id, push_lane)
 }
 
 /// `stats` response line, per-shard breakdown included.
@@ -556,6 +589,11 @@ mod tests {
             parse_request(r#"{"kind":"update","insert":["e(a, b)"]}"#, 64).unwrap(),
             Request::Update { insert: vec!["e(a, b)".to_string()], retract: vec![], id: None }
         );
+        // A duplicate key reads as its first occurrence.
+        assert_eq!(
+            parse_request(r#"{"kind":"query","q":"p(a)","q":"p(b)","kind":"ping"}"#, 64).unwrap(),
+            Request::Query { q: "p(a)".to_string(), id: None }
+        );
     }
 
     #[test]
@@ -565,6 +603,8 @@ mod tests {
             r#"{"kind":"warp"}"#,
             r#"{"kind":"query"}"#,
             r#"{"kind":"query","q":3}"#,
+            r#"{"kind":"query","q":3,"q":"p(a)"}"#,
+            r#"{"kind":3,"kind":"ping"}"#,
             r#"{"kind":"query","q":"p(a)","id":-1}"#,
             r#"{"kind":"query","q":"p(a)","id":1.5}"#,
             r#"{"kind":"batch","qs":[]}"#,

@@ -6,8 +6,9 @@
 //! renderer writes fails here, not at a client.
 
 use qpl_serve::wire::{
-    render_answer, render_answers, render_bye, render_checkpointed, render_error, render_pong,
-    render_stats, render_updated, LaneResult, ShardStatsView, StatsView, StoreStatsView,
+    render_answer, render_answers, render_bye, render_checkpointed, render_error, render_fragments,
+    render_lane, render_pong, render_stats, render_updated, LaneResult, ShardStatsView, StatsView,
+    StoreStatsView,
 };
 
 fn lanes() -> [LaneResult; 3] {
@@ -110,4 +111,25 @@ fn every_renderer_writes_its_golden_bytes() {
     for (got, want) in got.iter().zip(GOLDEN.lines()) {
         assert_eq!(got, want);
     }
+}
+
+/// A shard replies by concatenating lane fragments (memoized or fresh)
+/// into an envelope; those lines must be the goldens' bytes exactly.
+#[test]
+fn lines_built_from_lane_fragments_equal_the_goldens() {
+    let frags = lanes().map(|l| render_lane(&l));
+    let golden: Vec<&str> = GOLDEN.lines().collect();
+    let singles = [
+        (0, None),
+        (0, Some(9)),
+        (1, None),
+        (1, Some(0)),
+        (2, None),
+        (2, Some(9_007_199_254_740_991)),
+    ];
+    for ((lane, id), want) in singles.into_iter().zip(&golden[4..10]) {
+        assert_eq!(render_fragments(std::iter::once(&frags[lane]), false, id), *want);
+    }
+    assert_eq!(render_fragments(frags.iter(), true, Some(4)), golden[10]);
+    assert_eq!(render_fragments(std::iter::empty::<&str>(), true, None), golden[11]);
 }
