@@ -8,8 +8,8 @@
 //! same declarations.
 //!
 //! Key paths are dot-separated; `key[]` steps into every element of the
-//! array under `key`, so `runs[].per_shard[].serve_qps` requires the key
-//! in every shard row of every run. A path ending in `{a,b}` stands for
+//! array under `key`, so `workloads[].arms[].arm` requires the key in
+//! every arm of every workload. A path ending in `{a,b}` stands for
 //! one path per listed key.
 
 use qpl_obs::json::JsonValue;
@@ -249,44 +249,6 @@ pub const STORE: Schema = Schema {
     },
 };
 
-/// `bench_serve`: the TCP front door per shard count.
-pub const SERVE: Schema = Schema {
-    file: "BENCH_serve.json",
-    required: "bench cores shape load.update_rounds note scaling
-        runs[].{shards,sent_requests,served_requests,overloaded_requests,served_queries}
-        runs[].{serve_secs,serve_qps,total_secs,total_qps,batch_fill_ratio,service_p50_us}
-        runs[].{service_p99_us,strategy_climbs,adoptions,steer_fallbacks,width_planes}
-        runs[].per_shard[].{shard,served_queries,fill_ratio,serve_qps}
-        runs[].updates.{rounds,per_shard_deltas_applied,kb_delta_applied,events_dropped}",
-    values: |doc| {
-        let update_rounds = num(doc, "load.update_rounds")?;
-        let runs = at(doc, "runs[]")?;
-        ensure!(!runs.is_empty(), "no runs");
-        for run in runs {
-            let shards = num(run, "shards")?;
-            let per_shard = at(run, "per_shard[]")?.len();
-            ensure!(per_shard as f64 == shards, "{per_shard} per_shard rows for {shards} shards");
-            let (served, shed) = (num(run, "served_requests")?, num(run, "overloaded_requests")?);
-            let sent = num(run, "sent_requests")?;
-            ensure!(served + shed == sent, "{served} served + {shed} overloaded != {sent} sent");
-            let widths = keys(run, "width_planes")?;
-            ensure!(widths == WIDTH_KEYS, "width_planes keys {widths:?}");
-            let plane_counts = WIDTH_KEYS.map(|w| num(run, &format!("width_planes.{w}")));
-            ensure!(plane_counts.into_iter().sum::<Result<f64, _>>()? > 0.0, "no planes recorded");
-            let rounds = num(run, "updates.rounds")?;
-            ensure!(rounds == update_rounds, "{rounds} update rounds, load says {update_rounds}");
-            let deltas = at(run, "updates.per_shard_deltas_applied[]")?;
-            let counters = deltas.len();
-            ensure!(counters as f64 == shards, "{counters} delta counters for {shards} shards");
-            let diverged = deltas.iter().any(|d| d.as_f64() != Some(rounds));
-            ensure!(!diverged, "replicas diverged: {deltas:?} after {rounds} rounds");
-            let applied = num(run, "updates.kb_delta_applied")?;
-            ensure!(applied >= rounds * shards, "kb_delta_applied {applied} < {rounds} x {shards}");
-        }
-        Ok(())
-    },
-};
-
 /// Counters the metrics snapshot must carry.
 pub const REQUIRED_COUNTERS: [&str; 8] = [
     names::datalog::TABLE_HITS,
@@ -314,7 +276,7 @@ pub const METRICS: Schema = Schema {
             ensure!(counters.get(name).is_some(), "missing counter {name}");
         }
         let accepted = at(doc, "events[]")?.into_iter().any(|e| {
-            e.get("name").and_then(JsonValue::as_str) == Some("core.pib.candidate")
+            e.get("name").and_then(JsonValue::as_str) == Some(names::core::PIB_CANDIDATE)
                 && num(e, "fields.accept") == Ok(1.0)
         });
         ensure!(accepted, "no PIB acceptance event");
@@ -325,7 +287,7 @@ pub const METRICS: Schema = Schema {
 };
 
 /// The schemas of the `BENCH_*.json` files committed at the repo root.
-pub const BENCH_FILES: [&Schema; 6] = [&PROGRAM, &PARALLEL, &TABLING, &FOURWAY, &STORE, &SERVE];
+pub const BENCH_FILES: [&Schema; 5] = [&PROGRAM, &PARALLEL, &TABLING, &FOURWAY, &STORE];
 
 #[cfg(test)]
 mod tests {

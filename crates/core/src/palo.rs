@@ -23,6 +23,7 @@ use qpl_graph::context::Context;
 use qpl_graph::graph::InferenceGraph;
 use qpl_graph::program::StrategyProgram;
 use qpl_graph::strategy::Strategy;
+use qpl_obs::names::core as names;
 use qpl_obs::{MetricsSink, NoopSink};
 use qpl_stats::{chernoff, SequentialSchedule};
 
@@ -162,7 +163,7 @@ impl Palo {
         if self.stopped {
             return false;
         }
-        sink.counter("core.palo.contexts", 1);
+        sink.counter(names::PALO_CONTEXTS, 1);
         for cand in &mut self.candidates {
             cand.sum += delta_exact_with(g, &self.current, &cand.strategy, ctx, &mut self.scratch);
             cand.count += 1;
@@ -231,7 +232,7 @@ impl Palo {
             }
             let climbs_before = self.climbs.len();
             while lane < lanes {
-                sink.counter("core.palo.contexts", 1);
+                sink.counter(names::PALO_CONTEXTS, 1);
                 let cost = run.cost(lane);
                 for (ci, cand) in self.candidates.iter_mut().enumerate() {
                     cand.sum += cost - cand_costs[ci * stride + lane];
@@ -274,10 +275,10 @@ impl Palo {
             // rebuild replaces the whole candidate vector, so the winner
             // can be moved out instead of cloning its strategy.
             let cand = self.candidates.swap_remove(idx);
-            sink.counter("core.palo.climbs", 1);
+            sink.counter(names::PALO_CLIMBS, 1);
             if sink.enabled() {
                 sink.event(
-                    "core.palo.climb",
+                    names::PALO_CLIMB,
                     &[
                         ("samples", cand.count as f64),
                         ("mean", cand.mean()),
@@ -298,11 +299,11 @@ impl Palo {
             .all(|c| c.count > 0 && c.mean() + c.radius(per_side) < self.config.epsilon);
         if all_within {
             self.stopped = true;
-            sink.counter("core.palo.stopped", 1);
+            sink.counter(names::PALO_STOPPED, 1);
             if sink.enabled() {
                 for c in &self.candidates {
                     sink.event(
-                        "core.palo.certificate",
+                        names::PALO_CERTIFICATE,
                         &[
                             ("samples", c.count as f64),
                             ("mean", c.mean()),

@@ -18,6 +18,7 @@ use qpl_graph::context::{Context, Trace};
 use qpl_graph::graph::{ArcId, InferenceGraph};
 use qpl_graph::strategy::Strategy;
 use qpl_graph::{GraphError, IndependentModel};
+use qpl_obs::names::core as names;
 use qpl_stats::sample::{theorem2_samples, theorem3_attempts};
 
 /// Which theorem's sampling discipline to use.
@@ -190,13 +191,13 @@ impl Pao {
     /// event per experiment arc with its Equation 7/8 trial count, and
     /// the underlying `QP^A`'s `engine.adaptive.*` telemetry.
     pub fn emit_to(&self, sink: &mut dyn qpl_obs::MetricsSink) {
-        sink.counter("core.pao.targets", self.targets.len() as u64);
+        sink.counter(names::PAO_TARGETS, self.targets.len() as u64);
         let required = self.required_samples();
-        sink.counter("core.pao.samples_required", required.iter().map(|&(_, m)| m).sum());
+        sink.counter(names::PAO_SAMPLES_REQUIRED, required.iter().map(|&(_, m)| m).sum());
         if sink.enabled() {
             for (arc, needed) in required {
                 sink.event(
-                    "core.pao.allocation",
+                    names::PAO_ALLOCATION,
                     &[("arc", f64::from(arc.0)), ("needed", needed as f64)],
                 );
             }

@@ -25,6 +25,7 @@ use qpl_graph::graph::{ArcId, InferenceGraph};
 use qpl_graph::program::StrategyProgram;
 use qpl_graph::strategy::Strategy;
 use qpl_graph::GraphError;
+use qpl_obs::names::core as names;
 use qpl_obs::{MetricsSink, NoopSink};
 use qpl_stats::{PairedDifference, SequentialSchedule};
 
@@ -388,9 +389,9 @@ impl Pib {
         self.contexts_seen += 1;
         self.samples_here += 1;
         let cost = self.run_scratch.cost();
-        sink.counter("core.pib.contexts", 1);
+        sink.counter(names::PIB_CONTEXTS, 1);
         if sink.enabled() {
-            sink.value("core.pib.run_cost", cost);
+            sink.value(names::PIB_RUN_COST, cost);
         }
         for cand in &mut self.candidates {
             cand.acc.record(delta_tilde_with(
@@ -476,9 +477,9 @@ impl Pib {
                 let cost = run.cost(lane);
                 self.contexts_seen += 1;
                 self.samples_here += 1;
-                sink.counter("core.pib.contexts", 1);
+                sink.counter(names::PIB_CONTEXTS, 1);
                 if sink.enabled() {
-                    sink.value("core.pib.run_cost", cost);
+                    sink.value(names::PIB_RUN_COST, cost);
                 }
                 for (ci, cand) in self.candidates.iter_mut().enumerate() {
                     // Bit-identical to `delta_tilde_with`: the batched
@@ -520,9 +521,9 @@ impl Pib {
     ) {
         self.contexts_seen += 1;
         self.samples_here += 1;
-        sink.counter("core.pib.contexts", 1);
+        sink.counter(names::PIB_CONTEXTS, 1);
         if sink.enabled() {
-            sink.value("core.pib.run_cost", trace.cost);
+            sink.value(names::PIB_RUN_COST, trace.cost);
         }
         for cand in &mut self.candidates {
             cand.acc.record(delta_tilde_with(
@@ -545,12 +546,12 @@ impl Pib {
             return;
         }
         let delta_i = self.schedule.advance(self.candidates.len() as u64);
-        sink.counter("core.pib.tests", self.candidates.len() as u64);
+        sink.counter(names::PIB_TESTS, self.candidates.len() as u64);
         if sink.enabled() {
             for (idx, c) in self.candidates.iter().enumerate() {
                 let accept = c.acc.certifies_improvement(delta_i);
                 sink.event(
-                    "core.pib.candidate",
+                    names::PIB_CANDIDATE,
                     &[
                         ("candidate", idx as f64),
                         ("samples", self.samples_here as f64),
@@ -576,10 +577,10 @@ impl Pib {
             // rebuild_candidates replaces the whole vector, so the winner
             // can be moved out instead of cloning its strategy.
             let cand = self.candidates.swap_remove(idx);
-            sink.counter(qpl_obs::names::core::PIB_CLIMBS, 1);
+            sink.counter(names::PIB_CLIMBS, 1);
             if sink.enabled() {
                 sink.event(
-                    "core.pib.climb",
+                    names::PIB_CLIMB,
                     &[
                         ("samples", self.samples_here as f64),
                         ("evidence", cand.acc.sum()),
@@ -816,16 +817,16 @@ mod tests {
         }
         assert_eq!(plain.history().len(), observed.history().len());
         assert_eq!(plain.strategy().arcs(), observed.strategy().arcs());
-        assert_eq!(sink.counter_total("core.pib.contexts"), 1500);
-        assert_eq!(sink.counter_total("core.pib.climbs"), observed.history().len() as u64);
+        assert_eq!(sink.counter_total(names::PIB_CONTEXTS), 1500);
+        assert_eq!(sink.counter_total(names::PIB_CLIMBS), observed.history().len() as u64);
         // At least one acceptance event fired, carrying Δ̃ sum + threshold.
         let accepted = sink
-            .events_named("core.pib.candidate")
+            .events_named(names::PIB_CANDIDATE)
             .find(|e| e.field("accept") == Some(1.0))
             .expect("a candidate was accepted");
         assert!(accepted.field("delta_sum").unwrap() >= accepted.field("threshold").unwrap());
         let rejected = sink
-            .events_named("core.pib.candidate")
+            .events_named(names::PIB_CANDIDATE)
             .find(|e| e.field("accept") == Some(0.0))
             .expect("some candidate was rejected at some test");
         assert!(rejected.field("threshold").is_some());
@@ -914,15 +915,15 @@ mod tests {
             batched.observe_batch_with(&g, &batch, &mut sink_b);
         }
         assert_eq!(scalar.strategy().arcs(), batched.strategy().arcs());
-        for name in ["core.pib.contexts", "core.pib.tests", "core.pib.climbs"] {
+        for name in [names::PIB_CONTEXTS, names::PIB_TESTS, names::PIB_CLIMBS] {
             assert_eq!(sink_s.counter_total(name), sink_b.counter_total(name), "{name}");
         }
         let (s_stats, b_stats) =
-            (sink_s.value_stats("core.pib.run_cost"), sink_b.value_stats("core.pib.run_cost"));
+            (sink_s.value_stats(names::PIB_RUN_COST), sink_b.value_stats(names::PIB_RUN_COST));
         assert_eq!(s_stats, b_stats, "per-lane run costs observed identically");
         assert_eq!(
-            sink_s.events_named("core.pib.candidate").count(),
-            sink_b.events_named("core.pib.candidate").count()
+            sink_s.events_named(names::PIB_CANDIDATE).count(),
+            sink_b.events_named(names::PIB_CANDIDATE).count()
         );
     }
 

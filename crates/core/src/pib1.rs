@@ -24,6 +24,7 @@ use qpl_graph::graph::InferenceGraph;
 use qpl_graph::program::StrategyProgram;
 use qpl_graph::strategy::Strategy;
 use qpl_graph::GraphError;
+use qpl_obs::names::core as names;
 use qpl_stats::PairedDifference;
 
 /// PIB₁'s verdict after a batch of observations.
@@ -168,11 +169,11 @@ impl Pib1 {
     /// plus a `core.pib1.samples` counter. Call at the one-shot decision
     /// point; the sink observes, never steers.
     pub fn emit_to(&self, sink: &mut dyn qpl_obs::MetricsSink) {
-        sink.counter("core.pib1.samples", self.samples());
+        sink.counter(names::PIB1_SAMPLES, self.samples());
         if sink.enabled() {
             let switch = self.decision() == Pib1Decision::Switch;
             sink.event(
-                "core.pib1.decision",
+                names::PIB1_DECISION,
                 &[
                     ("samples", self.samples() as f64),
                     ("delta_sum", self.accumulated()),

@@ -344,29 +344,24 @@ impl Parser<'_> {
         self.src[start..p].parse::<f64>().map(JsonValue::Num).map_err(|_| bad())
     }
 
+    /// Copies each run up to the next quote, backslash or control byte
+    /// as one slice. Those stop bytes are ASCII, so every run ends on a
+    /// char boundary.
     fn string(&mut self) -> Result<String, String> {
         self.expect('"')?;
+        let bytes = self.src.as_bytes();
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
+            let run = bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let Some(len) = run else {
                 return Err("unterminated string".to_string());
             };
-            match c {
-                '"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                '\\' => {
-                    self.pos += 1;
-                    self.escape(&mut out)?;
-                }
-                c if (c as u32) < 0x20 => {
-                    return Err("raw control character in string".to_string());
-                }
-                c => {
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            out.push_str(&self.src[self.pos..self.pos + len]);
+            self.pos += len + 1;
+            match bytes[self.pos - 1] {
+                b'"' => return Ok(out),
+                b'\\' => self.escape(&mut out)?,
+                _ => return Err("raw control character in string".to_string()),
             }
         }
     }
@@ -638,6 +633,16 @@ mod tests {
             JsonValue::Str("\u{FFFD}x".to_string())
         );
         assert_eq!(JsonValue::parse("\"héllo\"").unwrap(), JsonValue::Str("héllo".to_string()));
+        // Multi-byte runs between escapes are copied whole.
+        assert_eq!(
+            JsonValue::parse("\"héllo\\n wörld \\\"ñ\\\" 😀\\t終わり\\\\\"").unwrap(),
+            JsonValue::Str("héllo\n wörld \"ñ\" 😀\t終わり\\".to_string())
+        );
+        // A surrogate pair between plain-text runs.
+        assert_eq!(
+            JsonValue::parse("\"ab é\\ud83d\\ude00cd ü\"").unwrap(),
+            JsonValue::Str("ab é😀cd ü".to_string())
+        );
     }
 
     #[test]
@@ -676,6 +681,9 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+        // A raw control byte deep inside a long run is still refused.
+        let long = format!("\"{}é\u{1f}{}\"", "x".repeat(300), "y".repeat(300));
+        assert_eq!(JsonValue::parse(&long), Err("raw control character in string".to_string()));
         // Depth bomb: rejected, not a stack overflow.
         let bomb = "[".repeat(200) + &"]".repeat(200);
         assert!(JsonValue::parse(&bomb).is_err());

@@ -1,15 +1,14 @@
 //! Canonical metric-name constants for cross-crate telemetry.
 //!
-//! Most instrumented call sites live next to the subsystem they
-//! measure and use string literals in place (`"datalog.reductions"`,
-//! `"core.pib.tests"`, …). Names that cross a crate boundary — emitted
-//! in one crate, asserted on or surfaced by another — live here instead,
-//! so producers and consumers cannot drift apart silently: `qpl-serve`
-//! emits the `serve.*` names and its `stats` endpoint (plus
-//! `bench_serve`) reads them back out of a
-//! [`JsonSnapshot`](crate::JsonSnapshot), and the metrics-snapshot
-//! schema in `qpl-bench` requires the counters it names through these
-//! constants.
+//! Names that cross a crate boundary — emitted in one crate, asserted
+//! on or surfaced by another — live here, so producers and consumers
+//! cannot drift apart silently: `qpl-serve` emits the `serve.*` names
+//! and its `stats` endpoint reads them back out of a
+//! [`JsonSnapshot`](crate::JsonSnapshot), the learners in `qpl-core`
+//! emit the `core.*` names, and the metrics-snapshot schema in
+//! `qpl-bench` requires the counters and events it names through these
+//! constants. Some subsystem-local call sites still use string literals
+//! in place (`"datalog.reductions"`, `"graph.batch.*"`, …).
 
 /// Names emitted by the `qpl-serve` executor thread.
 pub mod serve {
@@ -104,8 +103,43 @@ pub mod engine {
 
 /// Names emitted by the learners (`qpl-core`).
 pub mod core {
+    /// Counter: contexts PIB observed.
+    pub const PIB_CONTEXTS: &str = "core.pib.contexts";
+    /// Value: the current strategy's cost on each observed context.
+    pub const PIB_RUN_COST: &str = "core.pib.run_cost";
+    /// Counter: Equation-6 candidate tests PIB ran (`|T(Θⱼ)|` per
+    /// acceptance test).
+    pub const PIB_TESTS: &str = "core.pib.tests";
+    /// Event: one per candidate per acceptance test (`candidate`,
+    /// `samples`, `delta_sum`, `threshold`, `accept`).
+    pub const PIB_CANDIDATE: &str = "core.pib.candidate";
     /// Counter: strategy climbs PIB accepted.
     pub const PIB_CLIMBS: &str = "core.pib.climbs";
+    /// Event: one per accepted PIB climb (`samples`, `evidence`,
+    /// `test_index`).
+    pub const PIB_CLIMB: &str = "core.pib.climb";
+    /// Counter: contexts PALO observed.
+    pub const PALO_CONTEXTS: &str = "core.palo.contexts";
+    /// Counter: strategy climbs PALO accepted.
+    pub const PALO_CLIMBS: &str = "core.palo.climbs";
+    /// Event: one per accepted PALO climb (`samples`, `mean`, `lcb`).
+    pub const PALO_CLIMB: &str = "core.palo.climb";
+    /// Counter: 1 when PALO stopped at a certified ε-local optimum.
+    pub const PALO_STOPPED: &str = "core.palo.stopped";
+    /// Event: one per neighbour in PALO's stopping certificate
+    /// (`samples`, `mean`, `ucb`, `epsilon`).
+    pub const PALO_CERTIFICATE: &str = "core.palo.certificate";
+    /// Counter: samples the one-shot PIB1 filter has seen.
+    pub const PIB1_SAMPLES: &str = "core.pib1.samples";
+    /// Event: PIB1's evidence at its decision point (`samples`,
+    /// `delta_sum`, `threshold`, `switch`).
+    pub const PIB1_DECISION: &str = "core.pib1.decision";
+    /// Counter: experiment arcs PAO allocates trials to.
+    pub const PAO_TARGETS: &str = "core.pao.targets";
+    /// Counter: Equation 7/8 trials PAO requires, summed over arcs.
+    pub const PAO_SAMPLES_REQUIRED: &str = "core.pao.samples_required";
+    /// Event: one per PAO experiment arc (`arc`, `needed`).
+    pub const PAO_ALLOCATION: &str = "core.pao.allocation";
 }
 
 /// Names emitted by the query planners: the statistics-free greedy
@@ -198,7 +232,33 @@ mod tests {
         assert!(super::datalog::RETRIEVALS.starts_with("datalog."));
         assert!(super::datalog::TABLE_HITS.starts_with("datalog."));
         assert!(super::engine::CROSS_CONTEXT_CACHE_HITS.starts_with("engine."));
-        assert!(super::core::PIB_CLIMBS.starts_with("core."));
+    }
+
+    #[test]
+    fn core_names_are_unique_and_prefixed() {
+        use super::core::*;
+        let all = [
+            PIB_CONTEXTS,
+            PIB_RUN_COST,
+            PIB_TESTS,
+            PIB_CANDIDATE,
+            PIB_CLIMBS,
+            PIB_CLIMB,
+            PALO_CONTEXTS,
+            PALO_CLIMBS,
+            PALO_CLIMB,
+            PALO_STOPPED,
+            PALO_CERTIFICATE,
+            PIB1_SAMPLES,
+            PIB1_DECISION,
+            PAO_TARGETS,
+            PAO_SAMPLES_REQUIRED,
+            PAO_ALLOCATION,
+        ];
+        for (i, a) in all.iter().enumerate() {
+            assert!(a.starts_with("core."), "{a} must carry the subsystem prefix");
+            assert!(!all[i + 1..].contains(a), "duplicate name {a}");
+        }
     }
 
     #[test]

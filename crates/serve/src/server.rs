@@ -237,8 +237,6 @@ struct ShardStats {
     batches: u64,
     /// Summed lane capacity of executed planes (fill denominator).
     plane_lanes: u64,
-    /// Planes executed at width 1/2/4/8, indexed by log2(width).
-    width_planes: [u64; 4],
     declined: u64,
     errors: u64,
     climbs: u64,
@@ -773,6 +771,11 @@ impl LineReader {
     fn next_line(&mut self, mut stream: &TcpStream) -> LineEvent {
         loop {
             if let Some(nl) = self.buf[self.start..].iter().position(|&b| b == b'\n') {
+                // A whole line can arrive in the same read that crosses
+                // the limit, so a found line is measured too.
+                if nl > self.max {
+                    return LineEvent::TooLong;
+                }
                 let line =
                     String::from_utf8_lossy(&self.buf[self.start..self.start + nl]).into_owned();
                 self.start += nl + 1;
@@ -1000,7 +1003,6 @@ fn collect_stats(shared: &Shared) -> Reply {
     let (mut queue_lanes, mut served, mut batches) = (0u64, 0u64, 0u64);
     let (mut errors, mut climbs, mut adoptions) = (0u64, 0u64, 0u64);
     let (mut plane_lanes, mut executed_lanes, mut deltas_applied) = (0u64, 0u64, 0u64);
-    let mut width_planes = [0u64; 4];
     let mut store_view = None;
     for (shard, rx) in pending.into_iter().enumerate() {
         let Ok(s) = rx.recv() else {
@@ -1013,9 +1015,6 @@ fn collect_stats(shared: &Shared) -> Reply {
         served += s.served;
         batches += s.batches;
         plane_lanes += s.plane_lanes;
-        for (acc, w) in width_planes.iter_mut().zip(s.width_planes) {
-            *acc += w;
-        }
         errors += s.errors;
         climbs += s.climbs;
         adoptions += s.adoptions;
@@ -1058,7 +1057,6 @@ fn collect_stats(shared: &Shared) -> Reply {
         steer_fallbacks,
         deltas_applied,
         fill_ratio: fill_ratio(executed_lanes, plane_lanes),
-        width_planes,
         p50_us: percentile_sorted(&all_us, 0.50),
         p99_us: percentile_sorted(&all_us, 0.99),
         shards: views,
@@ -1229,8 +1227,6 @@ struct Executor<'g> {
     /// Summed lane *capacity* of executed planes (width × 64 each) —
     /// the width-aware fill-ratio denominator.
     plane_lanes: u64,
-    /// Planes executed at width 1/2/4/8, indexed by log2(width).
-    width_planes: [u64; 4],
     errors: u64,
     climbs: u64,
     adoptions: u64,
@@ -1294,7 +1290,6 @@ fn executor_loop(
         served: 0,
         batches: 0,
         plane_lanes: 0,
-        width_planes: [0; 4],
         errors: 0,
         climbs: 0,
         adoptions: 0,
@@ -1742,7 +1737,6 @@ impl Executor<'_> {
             self.executed_lanes += lanes as u64;
             self.batches += 1;
             self.plane_lanes += (width * LANES) as u64;
-            self.width_planes[width.trailing_zeros() as usize] += 1;
             self.sink.counter(names::QUERIES, lanes as u64);
             self.sink.counter(names::BATCHES, 1);
             self.sink.value(names::BATCH_FILL, lanes as f64 / (width * LANES) as f64);
@@ -1819,7 +1813,6 @@ impl Executor<'_> {
             served: self.served,
             batches: self.batches,
             plane_lanes: self.plane_lanes,
-            width_planes: self.width_planes,
             declined,
             errors: self.errors,
             climbs: self.climbs,

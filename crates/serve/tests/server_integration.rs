@@ -292,34 +292,45 @@ fn sharded_overload_accounting_holds_under_per_shard_shedding() {
 
 /// With online adaptation on, answers stay correct while the strategy
 /// climbs (costs may legitimately change as the strategy improves, so
-/// only the decision is pinned).
+/// only the decision is pinned), on one shard and on two.
 #[test]
 fn adaptation_keeps_answers_correct() {
     const ROUNDS: usize = 20;
     let texts = query_texts(layered_params().constants);
     let expected = direct_expectations(&texts);
 
-    let server = start(ServerConfig { adapt_delta: Some(0.2), ..ServerConfig::default() });
-    let (mut s, mut r) = connect(&server);
+    for shards in [1, 2] {
+        let server =
+            start(ServerConfig { shards, adapt_delta: Some(0.2), ..ServerConfig::default() });
+        let (mut s, mut r) = connect(&server);
 
-    let qs = texts.iter().map(|t| format!("\"{t}\"")).collect::<Vec<_>>().join(",");
-    let req = format!(r#"{{"kind":"batch","qs":[{qs}]}}"#);
-    for _ in 0..ROUNDS {
-        let resp = roundtrip(&mut s, &mut r, &req);
-        let results =
-            resp.get("results").and_then(JsonValue::as_array).expect("answers has results");
-        for (res, (exp_kind, _, _)) in results.iter().zip(expected.iter()) {
-            let (kind, _, _) = result_fields(res);
-            assert_eq!(&kind, exp_kind, "adaptation never changes the decision");
+        // Each round rotates the lane order, so the steering key (the
+        // first text) differs and the jobs spread over the shards.
+        for round in 0..ROUNDS {
+            let order: Vec<usize> = (0..texts.len()).map(|i| (i + round) % texts.len()).collect();
+            let qs = order.iter().map(|&i| format!("\"{}\"", texts[i])).collect::<Vec<_>>();
+            let req = format!(r#"{{"kind":"batch","qs":[{}]}}"#, qs.join(","));
+            let resp = roundtrip(&mut s, &mut r, &req);
+            let results =
+                resp.get("results").and_then(JsonValue::as_array).expect("answers has results");
+            assert_eq!(results.len(), texts.len(), "one result per lane");
+            for (res, &i) in results.iter().zip(&order) {
+                let (kind, _, _) = result_fields(res);
+                assert_eq!(kind, expected[i].0, "adaptation never changes the decision");
+            }
         }
+
+        let stats = roundtrip(&mut s, &mut r, r#"{"kind":"stats"}"#);
+        let served = stats.get("served").and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(served as usize, ROUNDS * texts.len(), "{shards} shards");
+        let rows = stats.get("shards").and_then(JsonValue::as_array).expect("shards");
+        let busy =
+            rows.iter().filter(|sh| sh.get("served").and_then(JsonValue::as_f64) > Some(0.0));
+        assert_eq!(busy.count(), shards, "every shard served some rounds");
+
+        server.shutdown();
+        server.join();
     }
-
-    let stats = roundtrip(&mut s, &mut r, r#"{"kind":"stats"}"#);
-    let served = stats.get("served").and_then(JsonValue::as_f64).unwrap();
-    assert_eq!(served as usize, ROUNDS * texts.len());
-
-    server.shutdown();
-    server.join();
 }
 
 /// Drain must flush every shard: shutdown fires while every client is
@@ -518,6 +529,7 @@ fn stats_schema_covers_per_shard_breakdown() {
     };
     let planes = stats.get("batches").and_then(JsonValue::as_f64).unwrap();
     assert!(planes > 0.0, "the rounds executed planes");
+    assert_eq!(count("values", "serve.plane_width"), planes, "one plane width per executed plane");
     // One client, one request in flight: every request is its own cut,
     // including memo-only cuts that execute no plane.
     assert_eq!(count("spans", "serve.exec"), ROUNDS as f64, "one serve.exec span per cut");
@@ -686,44 +698,100 @@ fn invalid_updates_are_refused_without_applying_anything() {
 }
 
 /// Deltas on predicates outside the compiled graph's dependency
-/// footprint leave every shard's answer memo warm: repeat queries hit
-/// the cache across the update, and no selective invalidation fires.
+/// footprint leave every shard's answer memo warm: over rounds that
+/// alternately insert and retract such a fact, with adaptation on, at
+/// one shard and at two, repeat queries keep hitting the memo with the
+/// answers and cost bits of their first serve, no selective
+/// invalidation fires, and every replica applies every round.
 #[test]
 fn irrelevant_deltas_keep_the_answer_memo_warm() {
-    let server = Server::start(ServeEngine::figure1(), ServerConfig::default()).expect("starts");
+    const ROUNDS: u64 = 8;
+    let probes = ["instructor(russ)", "instructor(manolis)", "instructor(fred)", "instructor(ada)"];
+    for shards in [1, 2] {
+        let steered: std::collections::BTreeSet<_> =
+            probes.iter().map(|q| qpl_serve::steer_shard(q, shards)).collect();
+        assert_eq!(steered.len(), shards, "the probes reach every shard");
+        let server = Server::start(
+            ServeEngine::figure1(),
+            ServerConfig { shards, adapt_delta: Some(0.2), ..ServerConfig::default() },
+        )
+        .expect("starts");
+        let (mut s, mut r) = connect(&server);
+        let serve_all = |s: &mut TcpStream, r: &mut BufReader<TcpStream>| {
+            probes.map(|q| {
+                let resp = roundtrip(s, r, &format!(r#"{{"kind":"query","q":"{q}"}}"#));
+                result_fields(resp.get("result").expect("answer carries a result"))
+            })
+        };
+        let first = serve_all(&mut s, &mut r);
+        assert_eq!(first[0].0, "yes", "russ is an instructor");
+
+        // Round `i` inserts `churn(u{i})` on even rounds and retracts
+        // the previous round's fact on odd ones: a predicate no
+        // instructor query retrieves.
+        for i in 0..ROUNDS {
+            let upd = if i % 2 == 0 {
+                format!(r#"{{"kind":"update","insert":["churn(u{i})"],"id":{i}}}"#)
+            } else {
+                format!(r#"{{"kind":"update","retract":["churn(u{})"],"id":{i}}}"#, i - 1)
+            };
+            let ack = roundtrip(&mut s, &mut r, &upd);
+            assert_eq!(ack.get("kind").and_then(JsonValue::as_str), Some("updated"), "{ack:?}");
+            assert_eq!(
+                ack.get("deltas_applied").and_then(JsonValue::as_f64),
+                Some((i + 1) as f64),
+                "round {i} applied on every shard"
+            );
+            assert_eq!(serve_all(&mut s, &mut r), first, "round {i}: answers and cost bits");
+        }
+
+        let stats = roundtrip(&mut s, &mut r, r#"{"kind":"stats"}"#);
+        let counters = stats.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+        let counter = |name: &str| counters.get(name).and_then(JsonValue::as_f64).unwrap_or(0.0);
+        assert_eq!(
+            counter("serve.cache.hits"),
+            (ROUNDS * probes.len() as u64) as f64,
+            "every repeat query hit its shard's memo across the irrelevant deltas"
+        );
+        assert_eq!(
+            counter("cache.selective_invalidations"),
+            0.0,
+            "an out-of-footprint delta never flushes the memo"
+        );
+        let rows = stats.get("shards").and_then(JsonValue::as_array).expect("shards");
+        assert_eq!(rows.len(), shards);
+        for sh in rows {
+            assert_eq!(
+                sh.get("deltas_applied").and_then(JsonValue::as_f64),
+                Some(ROUNDS as f64),
+                "every replica applied every round"
+            );
+        }
+
+        server.shutdown();
+        server.join();
+    }
+}
+
+/// `max_line_bytes` bounds every request line, including one whose
+/// newline arrives in the same read that crosses the limit.
+#[test]
+fn a_line_over_max_line_bytes_is_refused_even_when_it_arrives_whole() {
+    let server = start(ServerConfig { max_line_bytes: 256, ..ServerConfig::default() });
     let (mut s, mut r) = connect(&server);
 
-    let q = r#"{"kind":"query","q":"instructor(russ)"}"#;
-    let first = roundtrip(&mut s, &mut r, q);
-    let (kind, _, cost) = result_fields(first.get("result").unwrap());
-    assert_eq!(kind, "yes");
-
-    // Second serve of the same query: memo hit, bit-identical cost.
-    let second = roundtrip(&mut s, &mut r, q);
-    let (kind2, _, cost2) = result_fields(second.get("result").unwrap());
-    assert_eq!(kind2, "yes");
-    assert_eq!(cost2, cost, "memoized cost is bit-identical");
-
-    // A delta on a predicate the instructor graph never retrieves.
-    let upd = roundtrip(&mut s, &mut r, r#"{"kind":"update","insert":["office(russ, b12)"]}"#);
-    assert_eq!(upd.get("kind").and_then(JsonValue::as_str), Some("updated"));
-
-    // Still warm after the irrelevant delta.
-    let third = roundtrip(&mut s, &mut r, q);
-    let (kind3, _, cost3) = result_fields(third.get("result").unwrap());
-    assert_eq!(kind3, "yes");
-    assert_eq!(cost3, cost);
-
-    let stats = roundtrip(&mut s, &mut r, r#"{"kind":"stats"}"#);
-    let counters = stats.get("metrics").and_then(|m| m.get("counters")).expect("counters");
-    assert!(
-        counters.get("serve.cache.hits").and_then(JsonValue::as_f64).unwrap_or(0.0) >= 2.0,
-        "repeat queries hit the shard memo across the irrelevant delta"
-    );
+    let qs = query_texts(28).iter().map(|t| format!("\"{t}\"")).collect::<Vec<_>>().join(",");
+    let line = format!("{{\"kind\":\"batch\",\"qs\":[{qs}]}}\n");
+    assert!((280..320).contains(&line.len()), "a ~300-byte line: {}", line.len());
+    s.write_all(line.as_bytes()).unwrap();
+    let mut resp = String::new();
+    r.read_line(&mut resp).expect("read response");
+    let resp = JsonValue::parse(&resp).expect("response is valid JSON");
+    assert_eq!(resp.get("error").and_then(JsonValue::as_str), Some("bad_request"), "{resp:?}");
     assert_eq!(
-        counters.get("cache.selective_invalidations").and_then(JsonValue::as_f64).unwrap_or(0.0),
-        0.0,
-        "an out-of-footprint delta never flushes the memo"
+        resp.get("detail").and_then(JsonValue::as_str),
+        Some("line exceeds max_line_bytes"),
+        "{resp:?}"
     );
 
     server.shutdown();

@@ -46,7 +46,6 @@ fn stats(store: bool) -> StatsView {
         steer_fallbacks: 4,
         deltas_applied: 10,
         fill_ratio: 0.52,
-        width_planes: [2, 1, 0, 3],
         p50_us: 130.5,
         p99_us: 900.0,
         shards: vec![shard(0), shard(1)],
@@ -81,8 +80,8 @@ const GOLDEN: &str = r#"{"v":2,"kind":"pong"}
 {"v":2,"kind":"updated","inserted":0,"retracted":0,"deltas_applied":0}
 {"v":2,"kind":"checkpointed","id":6,"through_seq":42,"snapshot_bytes":2048,"segments_removed":3}
 {"v":2,"kind":"checkpointed","through_seq":0,"snapshot_bytes":0,"segments_removed":0}
-{"v":2,"kind":"stats","queue_lanes":1,"served":100,"batches":3,"shed":2,"errors":1,"climbs":1,"adoptions":1,"steer_fallbacks":4,"deltas_applied":10,"fill_ratio":0.52,"width_planes":[2,1,0,3],"p50_us":130.5,"p99_us":900,"shards":[{"shard":0,"queue_lanes":0,"served":64,"batches":2,"declined":1,"errors":0,"climbs":0,"adoptions":1,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbeef"},{"shard":1,"queue_lanes":1,"served":36,"batches":1,"declined":1,"errors":0,"climbs":1,"adoptions":0,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbef0"}],"metrics":{"schema_version": 1,"counters": {}}}
-{"v":2,"kind":"stats","queue_lanes":1,"served":100,"batches":3,"shed":2,"errors":1,"climbs":1,"adoptions":1,"steer_fallbacks":4,"deltas_applied":10,"fill_ratio":0.52,"width_planes":[2,1,0,3],"p50_us":130.5,"p99_us":900,"shards":[{"shard":0,"queue_lanes":0,"served":64,"batches":2,"declined":1,"errors":0,"climbs":0,"adoptions":1,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbeef"},{"shard":1,"queue_lanes":1,"served":36,"batches":1,"declined":1,"errors":0,"climbs":1,"adoptions":0,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbef0"}],"store":{"wal_bytes":4096,"segments":1,"records_appended":12,"records_replayed":3,"last_checkpoint_unix_secs":1700000000,"snapshot_bytes":2048,"degraded":true},"metrics":{"schema_version": 1,"counters": {}}}"#;
+{"v":2,"kind":"stats","queue_lanes":1,"served":100,"batches":3,"shed":2,"errors":1,"climbs":1,"adoptions":1,"steer_fallbacks":4,"deltas_applied":10,"fill_ratio":0.52,"p50_us":130.5,"p99_us":900,"shards":[{"shard":0,"queue_lanes":0,"served":64,"batches":2,"declined":1,"errors":0,"climbs":0,"adoptions":1,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbeef"},{"shard":1,"queue_lanes":1,"served":36,"batches":1,"declined":1,"errors":0,"climbs":1,"adoptions":0,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbef0"}],"metrics":{"schema_version": 1,"counters": {}}}
+{"v":2,"kind":"stats","queue_lanes":1,"served":100,"batches":3,"shed":2,"errors":1,"climbs":1,"adoptions":1,"steer_fallbacks":4,"deltas_applied":10,"fill_ratio":0.52,"p50_us":130.5,"p99_us":900,"shards":[{"shard":0,"queue_lanes":0,"served":64,"batches":2,"declined":1,"errors":0,"climbs":0,"adoptions":1,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbeef"},{"shard":1,"queue_lanes":1,"served":36,"batches":1,"declined":1,"errors":0,"climbs":1,"adoptions":0,"deltas_applied":5,"fill_ratio":0.5,"p50_us":120.25,"p99_us":800,"strategy_fp":"00000000deadbef0"}],"store":{"wal_bytes":4096,"segments":1,"records_appended":12,"records_replayed":3,"last_checkpoint_unix_secs":1700000000,"snapshot_bytes":2048,"degraded":true},"metrics":{"schema_version": 1,"counters": {}}}"#;
 
 #[test]
 fn every_renderer_writes_its_golden_bytes() {
